@@ -15,11 +15,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gammaincc, gammaln
 
-from .errors import InvalidParameter, InvalidRadius, NumericalFailure, OutOfRegime
+from .errors import InvalidParameter, InvalidRadius, OutOfRegime
 from .innermax import worst_case_penalty_batch
-from .instance import PriorSpec, QuadraticForm, _gamma_ratio_half, prior_stats
+from .instance import (
+    EllipsoidalHypothesis,
+    PriorSpec,
+    QuadraticForm,
+    _gamma_ratio_half,
+    derive_coefficients,
+    prior_stats,
+)
 from .spectral import sym
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -103,8 +110,7 @@ def mc_true_cost(
         raise InvalidParameter("n_samples must be >= 1")
     C = np.asarray(C, dtype=float)
     P = sym(np.asarray(P, dtype=float))
-    d = sym(qf.q12 + qf.q21 + qf.q22)
-    c = qf.r + float(qf.l @ qf.Q @ qf.l) + float(np.trace(qf.q11))
+    dc = derive_coefficients(qf, EllipsoidalHypothesis(C))
     qm = sym(C.T @ qf.q22 @ C)
     m = qf.q21 + qf.q22
     base_vec = qf.q21 @ qf.l1 + qf.q22 @ qf.l2
@@ -128,7 +134,7 @@ def mc_true_cost(
         stderr = float(np.std(pen, ddof=1) / math.sqrt(n_samples))
     else:
         stderr = 0.0
-    value = float(np.sum(d * P)) + c + mean_pen
+    value = float(np.sum(dc.D * P)) + dc.c + mean_pen
     return McEstimate(mean=value, stderr=stderr, n_samples=int(n_samples), seed=int(seed))
 
 
@@ -247,39 +253,25 @@ def opening_linear_best(k: float, n: int, eps: float) -> float:
     return k * k * n + eps * eps + min(0.0, bracket)
 
 
-def radius_threshold_cost(
-    k: float, n: int, eps: float, R: float, quad_points: int = 200
-) -> float:
+def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
     """Cost of the radius-threshold policy: reveal x fully iff ||x|| >= R.
 
-    Value (1-2k) T2(R) + k^2 n + eps^2 + 2 eps |1-k| T1(R), with
-    T_m(R) = E[||x||^m 1{||x|| >= R}] integrated against the chi(n) radial
-    density by adaptive quadrature on [R, R + 40 sqrt(n)] (the truncated
-    tail mass is below exp(-700) at that cutoff).
+    Value (1-2k) T2(R) + k^2 n + eps^2 + 2 eps |1-k| T1(R), with the chi(n)
+    tail moments in closed form:
+    T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Gamma((n+m)/2, R^2/2) / Gamma(n/2).
     """
     if R < 0.0:
         raise InvalidRadius("threshold radius must be nonnegative")
     gap = abs(1.0 - k)
-    log_norm = (n / 2.0 - 1.0) * math.log(2.0) + math.lgamma(n / 2.0)
 
-    def chi_pdf(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        return math.exp((n - 1) * math.log(r) - r * r / 2.0 - log_norm)
-
-    hi = R + 40.0 * math.sqrt(n)
-    moments = []
-    for m in (1, 2):
-        val, err = quad(
-            lambda r, m=m: r**m * chi_pdf(r), R, hi,
-            epsabs=1e-13, epsrel=1e-11, limit=quad_points,
+    def tail_moment(m: int) -> float:
+        a = (n + m) / 2.0
+        return (
+            2.0 ** (m / 2.0) * float(gammaincc(a, R * R / 2.0))
+            * math.exp(gammaln(a) - gammaln(n / 2.0))
         )
-        if not math.isfinite(val) or err > 1e-8 * (1.0 + abs(val)):
-            raise NumericalFailure(
-                f"tail-moment quadrature did not converge (err={err:.2e})"
-            )
-        moments.append(val)
-    t1, t2 = moments
+
+    t1, t2 = tail_moment(1), tail_moment(2)
     return (1.0 - 2.0 * k) * t2 + k * k * n + eps * eps + 2.0 * eps * gap * t1
 
 

@@ -16,9 +16,13 @@ The workhorse is the trace-constrained spectral oracle ``h_eq``: the value
 h(t) = min Tr(D X) over {0 <= X <= I, Tr(E X) = t} is obtained by
 maximizing the one-dimensional concave dual over the multiplier lam, whose
 supergradient interval is delimited by the traces of E against the
-negative/non-positive eigenprojections of D + lam*E.  The primal optimum is
-an interpolation of those two projections, which yields a duality-gap
-certificate without any external SDP solver.
+negative/non-positive eigenprojections of D + lam*E.  The supergradient
+g(lam) = Tr(E P_neg(D + lam*E)) is nonincreasing; it jumps only at the real
+generalized eigenvalues of the pencil (D, -E) and is smooth between two of
+them, so the multiplier is found by a binary search over those eigenvalues
+followed by safeguarded Newton steps on g(lam) = t with the exact slope.
+The primal optimum is an interpolation of the two projections, which yields
+a duality-gap certificate without any external SDP solver.
 
 The penalized programs then minimize j(t) = h(t) + alpha*sqrt(f+t) over the
 scalar t.  h is convex and nonincreasing on [0, t_bar], so on any interval
@@ -29,6 +33,7 @@ that the returned value is within ``rho`` of the true minimum.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -82,30 +87,9 @@ def _rank_projection(p: np.ndarray) -> int:
     return int(np.sum(np.linalg.eigvalsh(sym(p)) > 0.5))
 
 
-def rank_of(x: np.ndarray, projection: bool = False) -> int:
-    """Numerical rank: eigenvalues > 0.5 for projections, > 1e-7 otherwise."""
-    w = np.linalg.eigvalsh(sym(x))
-    return int(np.sum(w > (0.5 if projection else 1e-7)))
-
-
 # --------------------------------------------------------------------------
 # trace-constrained spectral oracle
 # --------------------------------------------------------------------------
-
-
-def _classify(D, E, lam, ztol_extra=0.0):
-    # the crossing band is machine-precision-relative: the dual bisection
-    # localizes the multiplier to float resolution, so only the genuinely
-    # crossing eigenvalue should be treated as zero (a wide band would leak
-    # into the duality gap)
-    # raw eigh (no sign fixing) is fine here: only spectral projections are
-    # consumed, and those are sign-invariant
-    w, v = np.linalg.eigh(D + lam * E)
-    ztol = max(1e-13 * (1.0 + float(np.max(np.abs(w), initial=0.0))), ztol_extra)
-    ev = np.einsum("ij,ij->j", v, E @ v)  # v_j^T E v_j, >= 0 up to rounding
-    g_lo = float(np.sum(ev[w < -ztol]))
-    g_hi = float(np.sum(ev[w <= ztol]))
-    return w, v, ztol, g_lo, g_hi
 
 
 def _build_primal(D, E, t, lam, w, v, ztol):
@@ -129,143 +113,157 @@ def _build_primal(D, E, t, lam, w, v, ztol):
     return x, theta, primal, dual
 
 
-def _h_eq_once(D, E, t, trE, normE, bracket, max_iter, gap_tol=0.0):
-    """One dual root-finding pass; returns (lam, w, v, ztol) at the accepted
-    multiplier.  Bracketed false position (Illinois) on the midpoint of the
-    supergradient interval, falling back to plain bisection when the
-    proposal degenerates."""
-    lam_l = None  # g_lo(lam_l) > t   => optimal multiplier is above lam_l
-    lam_u = None  # g_hi(lam_u) < t   => optimal multiplier is below lam_u
-    err_l = err_u = None  # midpoint supergradient residuals at the endpoints
+class _Pencil:
+    """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
+    the same pair: the symmetrized matrices, their spectral norms, Tr E and,
+    on first use, the jumps of the supergradient (see ``_multiplier``)."""
 
-    def probe(lam):
-        nonlocal lam_l, lam_u, err_l, err_u
-        w, v, ztol, g_lo, g_hi = _classify(D, E, lam)
-        if g_lo <= t <= g_hi:
-            return (lam, w, v, ztol)
+    def __init__(self, D: np.ndarray, E: np.ndarray):
+        self.D = sym(D)
+        self.E = sym(E)
+        self.normD = spectral_norm(self.D)
+        self.normE = spectral_norm(self.E)
+        self.trE = float(np.trace(self.E))
+
+    @functools.cached_property
+    def jumps(self) -> np.ndarray:
+        """Sorted real finite generalized eigenvalues of the pencil (D, -E):
+        the multipliers at which an eigenvalue of D + lam*E crosses zero."""
+        try:
+            mu = np.atleast_1d(scipy.linalg.eigvals(self.D, -self.E, check_finite=False))
+        except scipy.linalg.LinAlgError:
+            return np.empty(0)
+        real = np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * (1.0 + np.abs(mu.real)))
+        return np.unique(mu.real[real])
+
+
+class _Probe:
+    """Spectral split of D + lam*E at one multiplier.
+
+    ``g_lo``/``g_hi`` are the traces of E against the negative and the
+    non-positive eigenspaces (the ends of the supergradient interval, shifted
+    by t); eigenvalues within ``ztol`` of zero count as zero.
+    """
+
+    def __init__(self, pen: _Pencil, lam: float, band: float = 0.0):
+        self.lam = lam
+        # raw eigh (no sign fixing) is fine here: only spectral projections
+        # are consumed, and those are sign-invariant
+        self.w, self.v = np.linalg.eigh(pen.D + lam * pen.E)
+        self.ev = pen.E @ self.v
+        # the zero band is machine-precision-relative: only the genuinely
+        # crossing eigenvalue should be treated as zero (a wide band would
+        # leak into the duality gap)
+        self.ztol = max(1e-13 * (1.0 + float(np.max(np.abs(self.w), initial=0.0))), band)
+        diag = np.einsum("ij,ij->j", self.v, self.ev)  # v_j^T E v_j >= 0 up to rounding
+        self.neg = self.w < -self.ztol
+        self.g_lo = float(np.sum(diag[self.neg]))
+        self.g_hi = float(np.sum(diag[self.w <= self.ztol]))
+
+    def slope(self) -> float:
+        """g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0,
+        valid when no eigenvalue sits in the zero band."""
+        pos = ~self.neg
+        m = self.v[:, self.neg].T @ self.ev[:, pos]
+        gaps = self.w[self.neg][:, None] - self.w[pos][None, :]
+        return 2.0 * float(np.sum(m * m / gaps))
+
+
+# probes inside one segment (Newton steps, bisections and the step doublings
+# on an unbounded end segment); bisection alone reaches float resolution
+# from any finite bracket in fewer
+_MAX_STEPS = 100
+
+
+def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
+    """Dual multiplier of h(t), as the probe at which it is accepted.
+
+    The supergradient of the dual at lam is [g_lo, g_hi] - t, where
+    g(lam) = Tr(E P_neg(D + lam*E)).  g is nonincreasing in lam; it jumps
+    only at the pencil eigenvalues, where an eigenvalue of D + lam*E crosses
+    zero, and is smooth between two of them with slope ``_Probe.slope`` (it
+    is constant there when D and E commute, decreasing in general).  A
+    binary search over the sorted jumps finds the jump or the open segment
+    that contains t; safeguarded Newton on g - t finishes inside the segment.
+    """
+    trE = pen.trE
+
+    def accepted(p: _Probe) -> bool:
+        if p.g_lo <= t <= p.g_hi:
+            return True
         # away from the jumps the supergradient is single-valued and the
         # duality gap is exactly |lam|*|g - t|, so a near-miss with a tiny
         # trace slip already certifies the required accuracy
-        miss = max(g_lo - t, t - g_hi)
-        if miss * abs(lam) <= gap_tol and miss <= 1e-9 * (1.0 + trE):
-            return (lam, w, v, ztol)
-        err = 0.5 * (g_lo + g_hi) - t
-        if g_lo > t:
-            if lam_l is None or lam > lam_l:
-                lam_l, err_l = lam, err
+        miss = max(p.g_lo - t, t - p.g_hi)
+        return miss * abs(p.lam) <= gap_tol and miss <= 1e-9 * (1.0 + trE)
+
+    jumps = pen.jumps if pen.jumps.size else np.zeros(1)
+    lo, hi = -math.inf, math.inf  # g(lo) > t > g(hi): the multiplier is inside
+    i, j = 0, jumps.size
+    while i < j:
+        k = (i + j) // 2
+        p = _Probe(pen, float(jumps[k]))
+        if accepted(p):
+            return p
+        if p.g_lo > t:
+            lo, i = p.lam, k + 1
         else:
-            if lam_u is None or lam < lam_u:
-                lam_u, err_u = lam, err
-        return None
+            hi, j = p.lam, k
 
-    seeds = [0.0] if bracket is None else [float(bracket[0]), float(bracket[1])]
-    for lam in seeds:
-        hit = probe(lam)
-        if hit is not None:
-            return hit
+    # t lies inside the smooth segment (lo, hi); at least one end is finite.
+    # Bisection halves asinh(lam/scale): the arithmetic midpoint near the
+    # natural multiplier scale |D|/|E|, the geometric one far beyond it, where
+    # a spurious jump from a numerically zero eigenvalue of E can sit
+    scale = pen.normD / pen.normE or 1.0
 
-    # the supergradient is piecewise constant between the roots of
-    # det(D + lam*E) = 0, so the optimal multiplier is one of those roots:
-    # probe the real finite generalized eigenvalues of the pencil directly
-    try:
-        mu = scipy.linalg.eigvals(D, -E, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        mu = np.empty(0)
-    cands = sorted(
-        {
-            float(m.real)
-            for m in np.atleast_1d(mu)
-            if np.isfinite(m) and abs(m.imag) <= 1e-8 * (1.0 + abs(m.real))
-        }
-    )
-    for lam in cands:
-        hit = probe(lam)
-        if hit is not None:
-            return hit
-    # rounding can push a crossing eigenvalue just outside the zero band:
-    # retry the candidates with a wider band before resorting to bisection
-    slack = 1e-9 * (1.0 + abs(t) + trE)
-    normD = spectral_norm(D)
-    for lam in cands:
-        band = 1e-10 * (1.0 + normD + abs(lam) * normE)
-        w, v, ztol, g_lo, g_hi = _classify(D, E, lam, ztol_extra=band)
-        if g_lo - slack <= t <= g_hi + slack:
-            return (lam, w, v, ztol)
+    def bisect() -> float:
+        mid = scale * math.sinh(0.5 * (math.asinh(lo / scale) + math.asinh(hi / scale)))
+        return mid if lo < mid < hi else 0.5 * (lo + hi)
 
-    # expand to bracket the optimal multiplier
-    if lam_u is None:
-        base = lam_l if lam_l is not None else 0.0
-        step = 1.0 + abs(base)
-        for _ in range(80):
-            hit = probe(base + step)
-            if hit is not None:
-                return hit
-            if lam_u is not None:
-                break
-            step *= 2.0
-    if lam_l is None:
-        base = lam_u if lam_u is not None else 0.0
-        step = 1.0 + abs(base)
-        for _ in range(80):
-            hit = probe(base - step)
-            if hit is not None:
-                return hit
-            if lam_l is not None:
-                break
-            step *= 2.0
-
-    if lam_u is None or lam_l is None:
-        # one-sided: the multiplier runs away (e.g. t = 0 with a singular E
-        # whose kernel still carries negative directions).  Accept the most
-        # extreme probe; the duality-gap check below vets the result.
-        lam = lam_l if lam_u is None else lam_u
-        w, v, ztol, _, _ = _classify(D, E, lam)
-        return (lam, w, v, ztol)
-
-    last_side = 0
-    stale_runs = 0
-    for _ in range(max_iter):
-        # narrow down to float resolution; the residual bracket width feeds
-        # the crossing band below, so tighter is strictly better
-        width = lam_u - lam_l
-        if width <= 4e-16 * (1.0 + abs(lam_l) + abs(lam_u)):
+    if math.isinf(lo):
+        step = scale + abs(hi)
+        lam = hi - step
+    elif math.isinf(hi):
+        step = scale + abs(lo)
+        lam = lo + step
+    else:
+        step = hi - lo
+        lam = bisect()
+    for _ in range(_MAX_STEPS):
+        p = _Probe(pen, lam)
+        if accepted(p):
+            return p
+        if p.g_lo > t:
+            lo = lam
+        else:
+            hi = lam
+        bounded = math.isfinite(lo) and math.isfinite(hi)
+        if bounded and hi - lo <= 4e-16 * (1.0 + abs(lo) + abs(hi)):
             break
-        lam = None
-        if err_l > 0.0 > err_u and stale_runs < 3:
-            lam = lam_u - err_u * width / (err_u - err_l)
-            pad = 1e-3 * width
-            if not (lam_l + pad <= lam <= lam_u - pad):
-                lam = None
-        if lam is None:
-            lam = 0.5 * (lam_l + lam_u)
-        prev_u = lam_u
-        hit = probe(lam)
-        if hit is not None:
-            return hit
-        side = +1 if lam_u == prev_u else -1
-        if side == last_side:
-            # Illinois damping: the retained endpoint is stale, so shrink its
-            # residual; after a few repeats fall back to plain bisection
-            stale_runs += 1
-            if side == +1:
-                err_u *= 0.5
+        nxt = None
+        if p.g_lo == p.g_hi:  # no eigenvalue in the zero band: g is smooth here
+            s = p.slope()
+            if s < 0.0:
+                nxt = lam - (p.g_lo - t) / s
+                # rtsafe safeguard: a Newton step must at least halve the
+                # previous one, so the bracket shrinks geometrically
+                if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * step):
+                    nxt = None
+        if nxt is None:
+            if bounded:
+                nxt = bisect()
             else:
-                err_l *= 0.5
-        else:
-            stale_runs = 0
-        last_side = side
-
-    # the target trace sits at a jump of the supergradient: widen the zero
-    # band so the crossing eigenvalues join the interpolation set
-    lam = 0.5 * (lam_l + lam_u)
-    slack = 1e-9 * (1.0 + abs(t) + trE)
-    extra = max(4.0 * (lam_u - lam_l) * normE, 1e-15)
-    for _ in range(10):
-        w, v, ztol, g_lo, g_hi = _classify(D, E, lam, ztol_extra=extra)
-        if g_lo - slack <= t <= g_hi + slack:
-            return (lam, w, v, ztol)
-        extra *= 10.0
-    return (lam, w, v, ztol)
+                # unbounded end segment: the probe just moved the finite end,
+                # so step twice as far away from it
+                nxt = lam + (2.0 * step if math.isinf(hi) else -2.0 * step)
+        step = abs(nxt - lam)
+        lam = nxt
+    else:
+        return p  # budget spent: the duality-gap check rejects this probe
+    # the bracket collapsed at float resolution, onto a jump whose crossing
+    # eigenvalue rounding pushed out of the zero band: widen the band there
+    lam = 0.5 * (lo + hi)
+    return _Probe(pen, lam, band=1e-10 * (1.0 + pen.normD + abs(lam) * pen.normE))
 
 
 def h_eq(
@@ -273,15 +271,21 @@ def h_eq(
     E: np.ndarray,
     t: float,
     tol: float | None = None,
-    bracket: tuple[float, float] | None = None,
-    max_iter: int = 200,
+    pencil: _Pencil | None = None,
 ) -> HOracleResult:
-    """min Tr(D X) over {0 <= X <= I, Tr(E X) = t}, with a gap certificate."""
-    D = sym(D)
-    E = sym(E)
-    normD = spectral_norm(D)
-    normE = spectral_norm(E)
-    trE = float(np.trace(E))
+    """min Tr(D X) over {0 <= X <= I, Tr(E X) = t}, with a gap certificate.
+
+    The value is the maximum of the concave dual
+    phi(lam) = sum_i min(mu_i(D + lam*E), 0) - lam*t, whose supergradient
+    g(lam) - t is nonincreasing in lam, smooth between the generalized
+    eigenvalues of the pencil (D, -E) and jumps only at them.  The returned
+    X interpolates the negative and non-positive eigenprojections at the
+    accepted multiplier, and ``abs(value - dual_value) <= tol`` is checked
+    (``OracleDiverged`` otherwise).  ``pencil`` is the shared ``_Pencil`` of
+    (D, E), for callers that evaluate many t on the same pair.
+    """
+    pen = _Pencil(D, E) if pencil is None else pencil
+    D, E, trE, normD, normE = pen.D, pen.E, pen.trE, pen.normD, pen.normE
     feas_tol = 1e-9 * (1.0 + abs(trE))
     if t < -feas_tol or t > trE + feas_tol:
         raise InfeasibleTrace(f"trace target {t} outside [0, {trE}]")
@@ -324,20 +328,16 @@ def h_eq(
             interpolation_theta=0.0, dual_value=value,
         )
 
-    for attempt, iters in enumerate((max_iter, 5 * max_iter)):
-        lam, w, v, ztol = _h_eq_once(
-            D, E, t, trE, normE, bracket, iters, gap_tol=0.25 * tol
+    p = _multiplier(pen, t, gap_tol=0.25 * tol)
+    x, theta, primal, dual = _build_primal(D, E, t, p.lam, p.w, p.v, p.ztol)
+    if abs(primal - dual) > tol:
+        raise OracleDiverged(
+            f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
+            f"at t={t}"
         )
-        x, theta, primal, dual = _build_primal(D, E, t, lam, w, v, ztol)
-        if abs(primal - dual) <= tol:
-            return HOracleResult(
-                t=t, value=primal, X=x, lambda_dual=lam,
-                interpolation_theta=theta, dual_value=dual,
-            )
-        bracket = None  # retry from scratch with more iterations
-    raise OracleDiverged(
-        f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
-        f"at t={t}"
+    return HOracleResult(
+        t=t, value=primal, X=x, lambda_dual=p.lam,
+        interpolation_theta=theta, dual_value=dual,
     )
 
 
@@ -359,10 +359,9 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
         raise InvalidTolerance("suboptimality budget rho must be positive")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    D = sym(D)
-    E = sym(E)
+    pen = _Pencil(D, E)
+    D, E, trE = pen.D, pen.E, pen.trE
     f = max(float(f), 0.0)
-    trE = float(np.trace(E))
     p_lt, _ = neg_projections(D)
     t_bar = min(max(float(np.sum(E * p_lt)), 0.0), trE)
     t_lo = min(max(float(t_lo), 0.0), trE)
@@ -373,17 +372,7 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
     def h(tv: float) -> HOracleResult:
         tv = float(tv)
         if tv not in evals:
-            # warm-start the dual bisection from the nearest evaluated
-            # neighbors (the multiplier is nonincreasing in t)
-            lower = [u for u in evals if u < tv]
-            upper = [u for u in evals if u > tv]
-            bracket = None
-            if lower and upper:
-                l_hi = evals[max(lower)].lambda_dual
-                l_lo = evals[min(upper)].lambda_dual
-                pad = 1e-9 * (1.0 + abs(l_lo) + abs(l_hi))
-                bracket = (l_lo - pad, l_hi + pad)
-            evals[tv] = h_eq(D, E, tv, bracket=bracket)
+            evals[tv] = h_eq(D, E, tv, pencil=pen)
         return evals[tv]
 
     def j(tv: float) -> float:
@@ -417,7 +406,7 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
             lb = max(lb, min(cands) - slack)
         return lb
 
-    if trE <= 1e-13 * (1.0 + spectral_norm(E)) or t_hi - t_lo <= 1e-14 * (1.0 + t_hi):
+    if trE <= 1e-13 * (1.0 + pen.normE) or t_hi - t_lo <= 1e-14 * (1.0 + t_hi):
         val = j(t_lo)
         return t_lo, evals[t_lo], val, 0.0
 
@@ -495,7 +484,6 @@ def extract_projection(x: np.ndarray, objective: Callable[[np.ndarray], float]) 
     for p, s in zip(candidates, scores):  # ascending rank order
         if s <= best + tie:
             return p
-    return candidates[int(np.argmin(scores))]
 
 
 # --------------------------------------------------------------------------
@@ -518,14 +506,12 @@ def default_rho(dc: DerivedCoefficients) -> float:
     return 1e-6 * (1.0 + abs(solve_bp(dc).value))
 
 
-def _penalized_objective(dc, alpha, offset):
+def _penalized_objective(D, E, f, alpha, offset):
+    """Sigma -> Tr(D S) + offset + alpha*sqrt(f + Tr(E S))."""
+
     def obj(p):
-        tp = float(np.sum(dc.E * p))
-        return (
-            float(np.sum(dc.D * p))
-            + offset
-            + alpha * math.sqrt(max(dc.f + tp, 0.0))
-        )
+        tp = float(np.sum(E * p))
+        return float(np.sum(D * p)) + offset + alpha * math.sqrt(max(f + tp, 0.0))
 
     return obj
 
@@ -539,22 +525,19 @@ def solve_penalized(
     t_lo: float,
     rho: float,
     program: str = "PEN",
-    dc: DerivedCoefficients | None = None,
 ) -> ProgramSolution:
     """min Tr(D S) + offset + alpha*sqrt(f + Tr(E S)) s.t. Tr(E S) >= t_lo."""
     t_best, res, val, certified = _minimize_penalized(D, E, f, alpha, t_lo, rho)
-
-    def obj(p):
-        tp = float(np.sum(sym(E) * p))
-        return float(np.sum(sym(D) * p)) + offset + alpha * math.sqrt(max(f + tp, 0.0))
-
+    D = sym(D)
+    E = sym(E)
+    obj = _penalized_objective(D, E, f, alpha, offset)
     proj = extract_projection(res.X, obj)
     # the stationarity projection of the smooth objective is the canonical
     # minimal-rank solution; include it as a candidate when it is feasible
     if alpha > 0.0 and f + t_best > 1e-300:
         lam_star = alpha / (2.0 * math.sqrt(f + t_best))
-        p_st, _ = neg_projections(sym(D) + lam_star * sym(E))
-        if float(np.sum(sym(E) * p_st)) >= t_lo - 1e-9 * (1.0 + t_lo):
+        p_st, _ = neg_projections(D + lam_star * E)
+        if float(np.sum(E * p_st)) >= t_lo - 1e-9 * (1.0 + t_lo):
             tie = 1e-11 * (1.0 + abs(val))
             cur = obj(proj)
             alt = obj(p_st)
@@ -805,7 +788,8 @@ def sweep(
             int(np.argmin(spop_cands))
         ]
         pop_obj = _penalized_objective(
-            dc, ps.beta_bar * ps.kappa, dc.c + (1.0 - ps.beta_bar**2) * dc.lambda_bar
+            dc.D, dc.E, dc.f, ps.beta_bar * ps.kappa,
+            dc.c + (1.0 - ps.beta_bar**2) * dc.lambda_bar,
         )
         val_pop = min(pop.value, pop_obj(spop_arg), pop_obj(pp.projection))
 

@@ -53,14 +53,30 @@ def test_h_eq_diagonal_closed_form():
         assert float(np.sum(e * res.X)) == pytest.approx(t, abs=1e-8)
 
 
-def test_h_eq_primal_dual_and_feasibility_fuzz():
-    rng = np.random.default_rng(30)
+def _oracle_fuzz_cases(rng):
     for trial in range(60):
         n = int(rng.integers(2, 6))
         d = random_sym(rng, n)
         e = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+        yield d, e
+    for n in (3, 7, 12):
+        # commuting diagonal pair, E singular on every third coordinate
+        ed = rng.uniform(0.2, 2.0, n)
+        ed[::3] = 0.0
+        yield np.diag(rng.normal(size=n)), np.diag(ed)
+        # E = I and D with pairwise repeated eigenvalues
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        w = np.repeat(rng.normal(size=(n + 1) // 2), 2)[:n]
+        yield (q * w) @ q.T, np.eye(n)
+    for _ in range(3):
+        yield random_sym(rng, 20), random_psd(rng, 20, rank=1)
+
+
+def test_h_eq_primal_dual_and_feasibility_fuzz():
+    rng = np.random.default_rng(30)
+    for d, e in _oracle_fuzz_cases(rng):
         trE = float(np.trace(e))
-        for q in (0.0, 1e-6, 0.3, 0.7, 1.0):
+        for q in (0.0, 1e-6, 0.3, 0.7, 1.0 - 1e-6, 1.0):
             res = h_eq(d, e, q * trE)
             w = np.linalg.eigvalsh(res.X)
             assert w.min() > -1e-9 and w.max() < 1.0 + 1e-9
@@ -70,6 +86,31 @@ def test_h_eq_primal_dual_and_feasibility_fuzz():
             assert abs(res.value - res.dual_value) <= 1e-8 * (
                 1.0 + abs(res.value) + np.abs(d).max() + np.abs(e).max()
             )
+
+
+def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
+    # one binary search over the pencil eigenvalues plus a few Newton steps:
+    # a bounded number of eigensolves per call, not one per pencil eigenvalue
+    eigh = np.linalg.eigh
+    calls = [0]
+
+    def counting_eigh(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(35)
+    for n in (10, 30, 60):
+        calls[0] = 0
+        n_calls = 0
+        for _ in range(3):
+            d = random_sym(rng, n)
+            e = random_psd(rng, n)
+            trE = float(np.trace(e))
+            for q in np.linspace(0.1, 0.9, 9):
+                h_eq(d, e, float(q) * trE)
+                n_calls += 1
+        assert calls[0] / n_calls <= 16.0, (n, calls[0] / n_calls)
 
 
 def test_h_eq_convex_and_nonincreasing_then_flat():
