@@ -8,11 +8,13 @@ with Qm PSD.  Its exact value is the 1-D convex dual
 
     inf_{lam > lambda_max(Qm)}  lam + v^T (lam I - Qm)^{-1} v,
 
-a secular-equation minimization in Qm's eigenbasis: the derivative is
-1 - sum_i w_i^2/(lam - lam_i)^2 with w = V^T v, monotone increasing on
-(lambda_max, inf), so bisection on its sign finds the minimizer.  When v has
-no component on the top eigenspace the infimum may sit at the boundary
-lam -> lambda_max and is evaluated analytically.
+a secular-equation minimization in Qm's eigenbasis: with w = V^T v the
+minimizer solves ||(lam I - Qm)^{-1} w|| = 1.  In x = lam - lambda_max > 0,
+psi(x) = 1/||(x + lambda_max - Qm)^{-1} w|| - 1 is concave and increasing
+(More and Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so Newton's
+method started where psi <= 0 climbs monotonically onto the root, which lies
+in (0, ||v||].  When v has no component on the top eigenspace the infimum may
+sit at the boundary lam -> lambda_max and is evaluated analytically.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NumericalFailure
-from .spectral import default_zero_tol, eig_sym, sym
+from .spectral import eig_sym, sym
 
 
 @dataclass(frozen=True)
@@ -41,128 +43,82 @@ class InnerMaxProblem:
         object.__setattr__(self, "v", v)
 
 
-def _penalty_from_spectrum(
-    lams: np.ndarray, w: np.ndarray, tol: float, max_iter: int = 200
-) -> float:
-    """Exact penalty given Qm's eigenvalues (descending) and v in eigenbasis."""
-    lmax = float(lams[0]) if lams.size else 0.0
-    vnorm = float(np.linalg.norm(w))
-    if vnorm == 0.0:
-        return lmax
-    band = max(tol, 1e-12 * (1.0 + abs(lmax)))
-    top = lams >= lmax - band
-    w_top_sq = float(np.sum(w[top] ** 2))
-    rest_l = lams[~top]
-    rest_w_sq = w[~top] ** 2
-
-    def deriv(lam: float) -> float:
-        return 1.0 - w_top_sq / (lam - lmax) ** 2 - float(
-            np.sum(rest_w_sq / (lam - rest_l) ** 2)
-        )
-
-    def value(lam: float) -> float:
-        out = lam + float(np.sum(rest_w_sq / (lam - rest_l)))
-        if w_top_sq > 0.0:
-            out += w_top_sq / (lam - lmax)
-        return out
-
-    if w_top_sq <= (1e-14 * vnorm) ** 2:
-        # no mass on the top eigenspace: the derivative has a finite limit at
-        # lmax+; if it is nonnegative there the infimum is the boundary value
-        w_top_sq = 0.0
-        d0 = 1.0 - float(np.sum(rest_w_sq / (lmax - rest_l) ** 2))
-        if d0 >= 0.0:
-            return lmax + float(np.sum(rest_w_sq / (lmax - rest_l)))
-        lo, hi = lmax, lmax + vnorm
-    else:
-        # root lies in [lmax + |w_top|, lmax + ||v||]
-        lo, hi = lmax + np.sqrt(w_top_sq) * 0.5, lmax + vnorm
-    # the derivative is negative at lo and nonnegative at hi (+ margin)
-    hi += 1e-15 * (1.0 + abs(hi))
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam_star = 0.5 * (lo + hi)
-    if not np.isfinite(lam_star):
-        raise NumericalFailure("inner-max bisection produced a non-finite multiplier")
-    return value(lam_star)
+# Newton steps per row; on 100k Gaussian samples at n=3 and at n=30 no row
+# needs more than 11
+_MAX_NEWTON = 100
 
 
-def worst_case_penalty(p: InnerMaxProblem, tol: float | None = None) -> float:
+def worst_case_penalty(p: InnerMaxProblem) -> float:
     """Exact worst-case penalty max_{||eta||<=1} eta^T Qm eta + 2 v^T eta."""
-    w, v = eig_sym(p.Qm)
-    if tol is None:
-        tol = default_zero_tol(p.Qm)
-    return _penalty_from_spectrum(w, v.T @ p.v, tol)
+    return float(worst_case_penalty_batch(p.Qm, p.v[None, :])[0])
 
 
-def worst_case_penalty_batch(
-    Qm: np.ndarray, V: np.ndarray, tol: float | None = None, max_iter: int = 120
-) -> np.ndarray:
-    """Vectorized worst-case penalty for many v vectors (rows of ``V``).
+def worst_case_penalty_batch(Qm: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Exact worst-case penalty for many v vectors (rows of ``V``).
 
-    Same secular-equation bisection as :func:`worst_case_penalty`, run on all
-    rows simultaneously; used by the Monte-Carlo evaluator where each sample
-    contributes one v.
+    Each row runs safeguarded Newton on its own secular equation (see the
+    module docstring) and leaves the iteration once its step no longer moves
+    x forward at float resolution.  All arithmetic is row-wise, so splitting
+    the rows into chunks gives bit-identical values; the Monte-Carlo
+    evaluator relies on that.
     """
     lams, vecs = eig_sym(sym(Qm))
-    if tol is None:
-        tol = default_zero_tol(Qm)
     W = np.asarray(V, dtype=float) @ vecs  # rows in the eigenbasis
     m, n = W.shape
     if n == 0:
         return np.zeros(m)
     lmax = float(lams[0])
-    band = max(tol, 1e-12 * (1.0 + abs(lmax)))
-    top = lams >= lmax - band
-    w_top_sq = np.sum(W[:, top] ** 2, axis=1)
-    rest_l = lams[~top]
+    top = lams >= lmax - 1e-9 * (1.0 + float(np.max(np.abs(lams))))
+    gaps = lmax - lams[~top]  # every gap exceeds the band, so none is zero
     rest_w_sq = W[:, ~top] ** 2
+    w_top_sq = np.sum(W[:, top] ** 2, axis=1)
     vnorm = np.sqrt(np.sum(W**2, axis=1))
+    w_top_sq[w_top_sq <= (1e-14 * vnorm) ** 2] = 0.0
 
+    # no top mass: the dual's derivative 1 - ||(lam - Qm)^{-1} w||^2 has the
+    # finite limit d0 at lmax+; if d0 >= 0 the infimum is the boundary value
+    # (zero rows land here too, with value lmax)
+    d0 = 1.0 - np.sum(rest_w_sq / gaps**2, axis=1)
+    boundary = (w_top_sq == 0.0) & (d0 >= 0.0)
     out = np.full(m, lmax)
-    live = vnorm > 0.0
-    if not np.any(live):
-        return out
+    out[boundary] += np.sum(rest_w_sq[boundary] / gaps, axis=1)
 
-    has_top = w_top_sq > (1e-14 * np.maximum(vnorm, 1e-300)) ** 2
-    w_top_sq = np.where(has_top, w_top_sq, 0.0)
-
-    # boundary case: no top mass and nonnegative derivative limit at lmax+
-    with np.errstate(divide="ignore"):
-        d0 = 1.0 - np.sum(rest_w_sq / (lmax - rest_l) ** 2, axis=1)
-    boundary = live & ~has_top & (d0 >= 0.0)
-    if np.any(boundary):
-        out[boundary] = lmax + np.sum(
-            rest_w_sq[boundary] / (lmax - rest_l), axis=1
+    idx = np.flatnonzero(~boundary)
+    wt, rsq, hi = w_top_sq[idx], rest_w_sq[idx], vnorm[idx] * (1.0 + 1e-15)
+    # psi(x) <= 0 at the start: ||(x - Qm + lmax)^{-1} w|| >= 2 at half the
+    # top mass, and d0 < 0 at x = 0 when there is none; psi(||v||) >= 0
+    x = 0.5 * np.sqrt(wt)
+    act = np.arange(idx.size)
+    for _ in range(_MAX_NEWTON):
+        if act.size == 0:
+            break
+        xa, wa = x[act], wt[act]
+        # in place: two (rows x rest) arrays at a time
+        inv = xa[:, None] + gaps
+        np.divide(1.0, inv, out=inv)
+        p2 = rsq[act]
+        p2 *= inv
+        p2 *= inv
+        inv *= p2
+        q2 = np.sum(inv, axis=1)
+        p2 = np.sum(p2, axis=1)
+        xt = np.where(wa > 0.0, xa, 1.0)  # only a row with no top mass sits at 0
+        p2 += wa / (xt * xt)
+        q2 += wa / (xt * xt * xt)
+        # Newton on psi = 1/||p|| - 1 with ||p||^2 = p2, psi' = ||q||^2/||p||^3
+        nxt = xa + p2 * (np.sqrt(p2) - 1.0) / q2
+        # bisect a step that would leave the bracket [x, hi]; a step that does
+        # not move x forward means psi(x) >= 0 at float resolution: converged
+        nxt = np.where(nxt < hi[act], nxt, 0.5 * (xa + hi[act]))
+        moving = nxt > xa
+        x[act[moving]] = nxt[moving]
+        act = act[moving]
+    if act.size:
+        raise NumericalFailure(
+            f"inner-max Newton did not converge on {act.size} of {m} rows"
         )
-
-    interior = live & ~boundary
-    if np.any(interior):
-        idx = np.where(interior)[0]
-        wts = w_top_sq[idx]
-        rsq = rest_w_sq[idx]
-        lo = np.where(wts > 0.0, lmax + 0.5 * np.sqrt(wts), lmax)
-        hi = lmax + vnorm[idx]
-        hi = hi + 1e-15 * (1.0 + np.abs(hi))
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            d = 1.0 - np.sum(rsq / (mid[:, None] - rest_l[None, :]) ** 2, axis=1)
-            nz = mid > lmax
-            d[nz] -= wts[nz] / (mid[nz] - lmax) ** 2
-            d[~nz] = -np.inf
-            neg = d < 0.0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        lam = 0.5 * (lo + hi)
-        val = lam + np.sum(rsq / (lam[:, None] - rest_l[None, :]), axis=1)
-        val += np.where(wts > 0.0, wts / np.maximum(lam - lmax, 1e-300), 0.0)
-        out[idx] = val
+    val = lmax + x + np.sum(rsq / (x[:, None] + gaps), axis=1)
+    out[idx] = val + wt / np.where(wt > 0.0, x, 1.0)
     return out
 
 

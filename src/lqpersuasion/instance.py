@@ -16,7 +16,7 @@ kappa, beta_bar, gamma_bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     NotPD,
     SingularCrossTerm,
 )
-from .spectral import default_zero_tol, eig_sym, neg_projections, spectral_norm, sqrt_psd, sym
+from .spectral import default_zero_tol, eig_sym, neg_projections, sqrt_psd, sym
 
 
 # --------------------------------------------------------------------------

@@ -33,11 +33,12 @@ that the returned value is within ``rho`` of the true minimum.
 
 from __future__ import annotations
 
+import copy
 import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -145,20 +146,30 @@ class _Probe:
     by t); eigenvalues within ``ztol`` of zero count as zero.
     """
 
-    def __init__(self, pen: _Pencil, lam: float, band: float = 0.0):
+    def __init__(self, pen: _Pencil, lam: float):
         self.lam = lam
         # raw eigh (no sign fixing) is fine here: only spectral projections
         # are consumed, and those are sign-invariant
         self.w, self.v = np.linalg.eigh(pen.D + lam * pen.E)
         self.ev = pen.E @ self.v
+        self.diag = np.einsum("ij,ij->j", self.v, self.ev)  # v_j^T E v_j >= 0 up to rounding
         # the zero band is machine-precision-relative: only the genuinely
         # crossing eigenvalue should be treated as zero (a wide band would
         # leak into the duality gap)
-        self.ztol = max(1e-13 * (1.0 + float(np.max(np.abs(self.w), initial=0.0))), band)
-        diag = np.einsum("ij,ij->j", self.v, self.ev)  # v_j^T E v_j >= 0 up to rounding
-        self.neg = self.w < -self.ztol
-        self.g_lo = float(np.sum(diag[self.neg]))
-        self.g_hi = float(np.sum(diag[self.w <= self.ztol]))
+        self._classify(1e-13 * (1.0 + float(np.max(np.abs(self.w), initial=0.0))))
+
+    def _classify(self, ztol: float) -> None:
+        self.ztol = ztol
+        self.neg = self.w < -ztol
+        self.g_lo = float(np.sum(self.diag[self.neg]))
+        self.g_hi = float(np.sum(self.diag[self.w <= ztol]))
+
+    def widened(self, pen: _Pencil) -> "_Probe":
+        """The same eigenpairs with the zero band widened to absorb the
+        rounding of an eigenvalue that crosses zero at a jump; no eigensolve."""
+        p = copy.copy(self)
+        p._classify(max(self.ztol, 1e-10 * (1.0 + pen.normD + abs(self.lam) * pen.normE)))
+        return p
 
     def slope(self) -> float:
         """g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0,
@@ -195,7 +206,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
         # duality gap is exactly |lam|*|g - t|, so a near-miss with a tiny
         # trace slip already certifies the required accuracy
         miss = max(p.g_lo - t, t - p.g_hi)
-        return miss * abs(p.lam) <= gap_tol and miss <= 1e-9 * (1.0 + trE)
+        return miss * abs(p.lam) <= gap_tol and miss <= 1e-9 * trE
 
     jumps = pen.jumps if pen.jumps.size else np.zeros(1)
     lo, hi = -math.inf, math.inf  # g(lo) > t > g(hi): the multiplier is inside
@@ -205,6 +216,13 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
         p = _Probe(pen, float(jumps[k]))
         if accepted(p):
             return p
+        # t inside this jump, whose crossing eigenvalue rounding pushed out
+        # of the zero band (the band is empty: g_lo == g_hi): the widened
+        # band recovers it from the same eigenpairs
+        if p.g_lo == p.g_hi:
+            wide = p.widened(pen)
+            if accepted(wide):
+                return wide
         if p.g_lo > t:
             lo, i = p.lam, k + 1
         else:
@@ -262,8 +280,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
         return p  # budget spent: the duality-gap check rejects this probe
     # the bracket collapsed at float resolution, onto a jump whose crossing
     # eigenvalue rounding pushed out of the zero band: widen the band there
-    lam = 0.5 * (lo + hi)
-    return _Probe(pen, lam, band=1e-10 * (1.0 + pen.normD + abs(lam) * pen.normE))
+    return _Probe(pen, 0.5 * (lo + hi)).widened(pen)
 
 
 def h_eq(
@@ -302,7 +319,10 @@ def h_eq(
             interpolation_theta=0.0, dual_value=value,
         )
 
-    if t <= feas_tol or t >= trE - feas_tol:
+    # the endpoint band is relative to Tr E, so that h_eq(D, s*E, s*t) is
+    # h_eq(D, E, t) at every scale s
+    snap = 1e-9 * trE
+    if t <= snap or t >= trE - snap:
         # at the trace endpoints the multiplier runs away, but the optimum is
         # closed-form: Tr(E X) = 0 forces X onto ker E, and Tr(E X) = Tr E
         # forces X = I on range E, leaving a free box minimization on ker E
@@ -310,7 +330,7 @@ def h_eq(
         kmask = we <= 1e-12 * (1.0 + normE)
         x = np.zeros_like(D)
         value = 0.0
-        if t >= trE - feas_tol:
+        if t >= trE - snap:
             vr = ve[:, ~kmask]
             pr = vr @ vr.T
             x += pr

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's spectral machinery so that
 agreement between them and the library is meaningful evidence, not a
 tautology: the trace-constrained oracle is an accelerated projected-gradient
-method with an augmented-Lagrangian treatment of the equality constraint, and
-the ball-maximization oracle is a dense sphere grid with a local polish.
+method with an augmented-Lagrangian treatment of the equality constraint, the
+ball-maximization oracle is a dense sphere grid with a local polish, and the
+secular-equation reference is plain bisection on the dual's derivative.
 """
 
 from __future__ import annotations
@@ -130,6 +131,56 @@ def ball_max_oracle(
             break
         u = u_new
     return max(best_val, float(u @ Qm @ u + 2.0 * v @ u))
+
+
+def secular_bisection_reference(Qm: np.ndarray, v: np.ndarray) -> float:
+    """max over the unit ball of eta^T Qm eta + 2 v^T eta for PSD Qm, by 200
+    bisection steps on the derivative of the convex dual
+
+        inf_{lam > lambda_max}  lam + sum_i w_i^2/(lam - lam_i),  w = V^T v,
+
+    whose root lies in [lambda_max + |w_top|/2, lambda_max + |v|].  With no
+    mass on the top eigenspace and a nonnegative derivative at lambda_max+,
+    the infimum is the boundary value there.
+    """
+    lams, vecs = np.linalg.eigh(0.5 * (Qm + Qm.T))
+    lams, vecs = lams[::-1], vecs[:, ::-1]
+    w = vecs.T @ np.asarray(v, float)
+    lmax = float(lams[0]) if lams.size else 0.0
+    vnorm = float(np.linalg.norm(w))
+    if vnorm == 0.0:
+        return lmax
+    top = lams >= lmax - 1e-9 * (1.0 + float(np.max(np.abs(lams))))
+    w_top_sq = float(np.sum(w[top] ** 2))
+    rest_l = lams[~top]
+    rest_w_sq = w[~top] ** 2
+
+    def deriv(lam: float) -> float:
+        return 1.0 - w_top_sq / (lam - lmax) ** 2 - float(
+            np.sum(rest_w_sq / (lam - rest_l) ** 2)
+        )
+
+    if w_top_sq <= (1e-14 * vnorm) ** 2:
+        w_top_sq = 0.0
+        if 1.0 - float(np.sum(rest_w_sq / (lmax - rest_l) ** 2)) >= 0.0:
+            return lmax + float(np.sum(rest_w_sq / (lmax - rest_l)))
+        lo, hi = lmax, lmax + vnorm
+    else:
+        lo, hi = lmax + 0.5 * math.sqrt(w_top_sq), lmax + vnorm
+    hi += 1e-15 * (1.0 + abs(hi))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if deriv(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    value = lam + float(np.sum(rest_w_sq / (lam - rest_l)))
+    if w_top_sq > 0.0:
+        value += w_top_sq / (lam - lmax)
+    return value
 
 
 def random_reduced_game(rng: np.random.Generator, n: int):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ball_max_oracle, random_psd
+from conftest import ball_max_oracle, random_psd, secular_bisection_reference
 from lqpersuasion import (
     InnerMaxProblem,
     gamma_fn,
@@ -11,7 +11,8 @@ from lqpersuasion import (
     worst_case_penalty,
     worst_case_penalty_batch,
 )
-from lqpersuasion.errors import InvalidParameter
+from lqpersuasion import innermax
+from lqpersuasion.errors import InvalidParameter, NumericalFailure
 
 
 def test_scaled_identity_closed_form():
@@ -69,16 +70,45 @@ def test_monotone_in_v_scale():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_batch_agrees_with_scalar():
-    rng = np.random.default_rng(24)
+def _secular_cases(rng):
     qm = random_psd(rng, 4)
     V = rng.normal(size=(200, 4)) * rng.uniform(0.0, 3.0, size=(200, 1))
-    V[0] = 0.0  # degenerate row
-    batch = worst_case_penalty_batch(qm, V)
-    for i in range(V.shape[0]):
-        assert batch[i] == pytest.approx(
-            worst_case_penalty(InnerMaxProblem(qm, V[i])), rel=1e-9, abs=1e-9
-        )
+    V[0] = 0.0  # zero row
+    yield qm, V
+    # no top mass: boundary value (d0 >= 0) and interior root (d0 < 0)
+    yield np.diag([4.0, 1.0, 0.5]), np.array(
+        [[0.0, 0.05, 0.1], [0.0, 3.0, 0.1], [0.0, 0.0, 4.0]]
+    )
+    # repeated top eigenvalue, with and without mass on it
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    qm = (q * np.array([2.0, 2.0, 0.5, 0.1])) @ q.T
+    yield qm, np.vstack([rng.normal(size=(20, 4)), rng.normal(size=(5, 2)) @ q[:, 2:].T])
+    # rank-deficient Qm, Qm = 0
+    yield random_psd(rng, 5, rank=2), rng.normal(size=(20, 5))
+    yield np.zeros((3, 3)), rng.normal(size=(20, 3))
+    # v at extreme scales
+    qm = random_psd(rng, 3)
+    for s in (1e-6, 1e6):
+        yield qm, s * rng.normal(size=(20, 3))
+
+
+def test_batch_agrees_with_scalar():
+    # the batch Newton solver against the independent scalar bisection
+    rng = np.random.default_rng(24)
+    for qm, V in _secular_cases(rng):
+        batch = worst_case_penalty_batch(qm, V)
+        for i in range(V.shape[0]):
+            assert batch[i] == pytest.approx(
+                secular_bisection_reference(qm, V[i]), rel=1e-9, abs=1e-9
+            )
+
+
+def test_unconverged_rows_raise(monkeypatch):
+    # a row still stepping when the Newton budget runs out is an error, never
+    # a value
+    monkeypatch.setattr(innermax, "_MAX_NEWTON", 1)
+    with pytest.raises(NumericalFailure):
+        worst_case_penalty_batch(np.diag([3.0, 1.0]), np.array([[0.3, 2.0]]))
 
 
 def test_penalty_bounds_sandwich():

@@ -73,19 +73,25 @@ def _oracle_fuzz_cases(rng):
 
 
 def test_h_eq_primal_dual_and_feasibility_fuzz():
+    # h_eq(D, s*E, s*t) is the same program as h_eq(D, E, t) at every scale s
     rng = np.random.default_rng(30)
     for d, e in _oracle_fuzz_cases(rng):
         trE = float(np.trace(e))
         for q in (0.0, 1e-6, 0.3, 0.7, 1.0 - 1e-6, 1.0):
-            res = h_eq(d, e, q * trE)
-            w = np.linalg.eigvalsh(res.X)
-            assert w.min() > -1e-9 and w.max() < 1.0 + 1e-9
-            assert float(np.sum(e * res.X)) == pytest.approx(
-                q * trE, abs=1e-7 * (1.0 + trE)
-            )
-            assert abs(res.value - res.dual_value) <= 1e-8 * (
-                1.0 + abs(res.value) + np.abs(d).max() + np.abs(e).max()
-            )
+            for s in (1.0, 1e-4, 1e-8):
+                res = h_eq(d, s * e, s * q * trE)
+                w = np.linalg.eigvalsh(res.X)
+                assert w.min() > -1e-9 and w.max() < 1.0 + 1e-9
+                assert float(np.sum(s * e * res.X)) == pytest.approx(
+                    s * q * trE, abs=1e-7 * s * (1.0 + trE)
+                )
+                gap_tol = 1e-8 * (
+                    1.0 + abs(res.value) + np.abs(d).max() + np.abs(e).max()
+                )
+                assert abs(res.value - res.dual_value) <= gap_tol
+                if s == 1.0:
+                    unscaled = res.value
+                assert abs(res.value - unscaled) <= gap_tol
 
 
 def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
@@ -111,6 +117,16 @@ def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
                 h_eq(d, e, float(q) * trE)
                 n_calls += 1
         assert calls[0] / n_calls <= 16.0, (n, calls[0] / n_calls)
+    # rank-one E with D = 2E - I: every target lies inside the one true jump,
+    # where rounding can push the crossing eigenvalue out of the zero band
+    calls[0] = 0
+    u = rng.normal(size=100)
+    e = np.outer(u, u)
+    d = 2.0 * e - np.eye(100)
+    qs = [*np.linspace(0.1, 0.9, 9), 0.9999]
+    for q in qs:
+        h_eq(d, e, float(q) * float(np.trace(e)))
+    assert calls[0] / len(qs) <= 16.0, calls[0] / len(qs)
 
 
 def test_h_eq_convex_and_nonincreasing_then_flat():
