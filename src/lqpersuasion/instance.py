@@ -15,6 +15,7 @@ kappa, beta_bar, gamma_bar.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -291,6 +292,12 @@ class DerivedCoefficients:
     lambda_bar and sqrt(f + Tr(E Sigma)) over the spectrahedron
     0 <= Sigma <= I.  t_bar = Tr(E P) with P the projection onto D's
     negative eigenspace is where the penalty-free optimum sits.
+
+    ``pencil`` is the spectral record of (D, E) that every program solved on
+    these coefficients reads: the BP projection, the pencil eigenvalues and
+    the trace-oracle values evaluated so far.  It is built on first use and
+    lives as long as this object; ``scaled`` and ``replace`` return new
+    objects with their own record.
     """
 
     n: int
@@ -301,6 +308,12 @@ class DerivedCoefficients:
     lambda_bar: float
     lambda_bar_2: float
     t_bar: float
+
+    @functools.cached_property
+    def pencil(self):
+        from .programs import _Pencil  # local import avoids a cycle
+
+        return _Pencil(self.D, self.E)
 
     def scaled(self, s: float) -> "DerivedCoefficients":
         """Coefficients for the homothetically scaled hypothesis C <- s*C."""

@@ -29,6 +29,11 @@ scalar t.  h is convex and nonincreasing on [0, t_bar], so on any interval
 [a, b] the bound  min j >= h(b) + alpha*sqrt(f+a)  holds; a best-first
 interval subdivision driven by that bound terminates with a certificate
 that the returned value is within ``rho`` of the true minimum.
+
+PP, POP and SPOP's linear regime differ only in alpha, so they minimize over
+the same h of the same (D, E).  The programs solved on one
+``DerivedCoefficients`` read its ``pencil`` record: one BP projection, one
+set of pencil eigenvalues and one oracle evaluation per distinct t.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ class ProgramSolution:
 
 
 def _rank_projection(p: np.ndarray) -> int:
-    return int(np.sum(np.linalg.eigvalsh(sym(p)) > 0.5))
+    """Rank of an orthogonal projection, which is its trace."""
+    return int(round(float(np.trace(p))))
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +123,10 @@ def _build_primal(D, E, t, lam, w, v, ztol):
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
     the same pair: the symmetrized matrices, their spectral norms, Tr E and,
-    on first use, the jumps of the supergradient (see ``_multiplier``)."""
+    on first use, the jumps of the supergradient (see ``_multiplier``), the
+    projection onto D's negative eigenspace (the BP optimum) and the oracle
+    values h(t) evaluated so far.  ``DerivedCoefficients.pencil`` holds one
+    per coefficient system, so every program solved on it shares them."""
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
         self.D = sym(D)
@@ -125,6 +134,19 @@ class _Pencil:
         self.normD = spectral_norm(self.D)
         self.normE = spectral_norm(self.E)
         self.trE = float(np.trace(self.E))
+        self.evals: dict[float, HOracleResult] = {}
+
+    @functools.cached_property
+    def bp(self) -> np.ndarray:
+        """Projection onto the negative eigenspace of D."""
+        return neg_projections(self.D)[0]
+
+    def h(self, t: float) -> HOracleResult:
+        """``h_eq`` at trace target t, evaluated once per distinct t."""
+        t = float(t)
+        if t not in self.evals:
+            self.evals[t] = h_eq(self.D, self.E, t, pencil=self)
+        return self.evals[t]
 
     @functools.cached_property
     def jumps(self) -> np.ndarray:
@@ -303,7 +325,9 @@ def h_eq(
     """
     pen = _Pencil(D, E) if pencil is None else pencil
     D, E, trE, normD, normE = pen.D, pen.E, pen.trE, pen.normD, pen.normE
-    feas_tol = 1e-9 * (1.0 + abs(trE))
+    # relative to Tr E, so that a target outside [0, Tr E] is rejected at
+    # every scale of E; the floor keeps t = 0 feasible when E vanishes
+    feas_tol = 1e-9 * max(abs(trE), 1e-13 * (1.0 + normE))
     if t < -feas_tol or t > trE + feas_tol:
         raise InfeasibleTrace(f"trace target {t} outside [0, {trE}]")
     t = min(max(float(t), 0.0), trE)
@@ -366,34 +390,30 @@ def h_eq(
 # --------------------------------------------------------------------------
 
 
-def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
+# distinct trace targets one penalized search may evaluate before it gives up
+_MAX_EVALS = 4000
+
+
+def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho: float):
     """Certified minimization of h(t) + alpha*sqrt(f+t) over [t_lo, t_hi].
 
     Returns (t_best, oracle_result_at_t_best, value_best, certified_rho).
     Best-first interval subdivision: each interval [a, b] carries the lower
     bound h(b) + alpha*sqrt(f+a) (h nonincreasing, the penalty increasing),
     and subdivision stops once every remaining interval's bound is within
-    ``rho`` of the incumbent.
+    ``rho`` of the incumbent.  h is read from ``dc.pencil``, so searches on
+    the same coefficient system share their oracle evaluations.
     """
     if rho <= 0.0:
         raise InvalidTolerance("suboptimality budget rho must be positive")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    pen = _Pencil(D, E)
-    D, E, trE = pen.D, pen.E, pen.trE
-    f = max(float(f), 0.0)
-    p_lt, _ = neg_projections(D)
-    t_bar = min(max(float(np.sum(E * p_lt)), 0.0), trE)
+    pen = dc.pencil
+    h, trE = pen.h, pen.trE
+    f = max(float(dc.f), 0.0)
+    t_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), trE)
     t_lo = min(max(float(t_lo), 0.0), trE)
     t_hi = max(t_bar, t_lo)
-
-    evals: dict[float, HOracleResult] = {}
-
-    def h(tv: float) -> HOracleResult:
-        tv = float(tv)
-        if tv not in evals:
-            evals[tv] = h_eq(D, E, tv, pencil=pen)
-        return evals[tv]
 
     def j(tv: float) -> float:
         return h(tv).value + alpha * math.sqrt(max(f + tv, 0.0))
@@ -405,7 +425,9 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
         convexity tangents h(t) >= h(t0) - lam_t0*(t - t0) at both endpoints
         (the dual multiplier is a subgradient slope of -h); the tangent bound
         is exact to second order near the penalized minimizer, which keeps
-        the subdivision from stalling on flat stretches.
+        the subdivision from stalling on flat stretches.  Each tangent minorant
+        plus the penalty is concave in t, so its minimum over [a, b] is at an
+        endpoint.
         """
         ra, rb = h(a), h(b)
         lb = rb.value + alpha * math.sqrt(f + a)
@@ -415,20 +437,15 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
             if t0 == a and lam <= 0.0:
                 continue  # a zero slope taken at the left endpoint is invalid
 
-            def tangent(tv: float, t0=t0, val=r.value, lam=lam) -> float:
-                return val - lam * (tv - t0) + alpha * math.sqrt(f + tv)
+            def tangent(tv: float) -> float:
+                return r.value - lam * (tv - t0) + alpha * math.sqrt(f + tv)
 
-            cands = [tangent(a), tangent(b)]
-            if lam > 0.0:
-                ts = alpha * alpha / (4.0 * lam * lam) - f
-                if a < ts < b:
-                    cands.append(tangent(ts))
-            lb = max(lb, min(cands) - slack)
+            lb = max(lb, min(tangent(a), tangent(b)) - slack)
         return lb
 
     if trE <= 1e-13 * (1.0 + pen.normE) or t_hi - t_lo <= 1e-14 * (1.0 + t_hi):
         val = j(t_lo)
-        return t_lo, evals[t_lo], val, 0.0
+        return t_lo, h(t_lo), val, 0.0
 
     s_lo = math.sqrt(f + t_lo)
     s_hi = math.sqrt(f + t_hi)
@@ -445,7 +462,7 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
 
     margin = rho * (1.0 - 1e-9)
     while heap and heap[0][0] < best_val - margin:
-        if len(evals) > max_evals:
+        if len(vals) > _MAX_EVALS:
             raise NumericalFailure(
                 "penalized search exceeded its evaluation budget without "
                 f"certifying rho={rho}"
@@ -469,7 +486,7 @@ def _minimize_penalized(D, E, f, alpha, t_lo, rho, max_evals=4000):
     # tie-break toward the smallest trace (prefers revealing less)
     tie = 1e-12 * (1.0 + abs(best_val))
     t_best = min(tv for tv, v in vals.items() if v <= best_val + tie)
-    return t_best, evals[t_best], vals[t_best], certified
+    return t_best, h(t_best), vals[t_best], certified
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +530,7 @@ def extract_projection(x: np.ndarray, objective: Callable[[np.ndarray], float]) 
 
 def solve_bp(dc: DerivedCoefficients) -> ProgramSolution:
     """Bayesian program: exact, Sigma = projection onto D's negative space."""
-    p_lt, _ = neg_projections(dc.D)
+    p_lt = dc.pencil.bp
     value = float(np.sum(dc.D * p_lt)) + dc.c
     return ProgramSolution(
         program="BP", Sigma=p_lt, value=value,
@@ -537,9 +554,7 @@ def _penalized_objective(D, E, f, alpha, offset):
 
 
 def solve_penalized(
-    D: np.ndarray,
-    E: np.ndarray,
-    f: float,
+    dc: DerivedCoefficients,
     alpha: float,
     offset: float,
     t_lo: float,
@@ -547,9 +562,8 @@ def solve_penalized(
     program: str = "PEN",
 ) -> ProgramSolution:
     """min Tr(D S) + offset + alpha*sqrt(f + Tr(E S)) s.t. Tr(E S) >= t_lo."""
-    t_best, res, val, certified = _minimize_penalized(D, E, f, alpha, t_lo, rho)
-    D = sym(D)
-    E = sym(E)
+    t_best, res, val, certified = _minimize_penalized(dc, alpha, t_lo, rho)
+    D, E, f = dc.D, dc.E, dc.f
     obj = _penalized_objective(D, E, f, alpha, offset)
     proj = extract_projection(res.X, obj)
     # the stationarity projection of the smooth objective is the canonical
@@ -577,8 +591,7 @@ def solve_pp(dc: DerivedCoefficients, rho: float | None = None) -> ProgramSoluti
     if rho is None:
         rho = default_rho(dc)
     return solve_penalized(
-        dc.D, dc.E, dc.f, alpha=1.0, offset=dc.c + dc.lambda_bar,
-        t_lo=0.0, rho=rho, program="PP",
+        dc, alpha=1.0, offset=dc.c + dc.lambda_bar, t_lo=0.0, rho=rho, program="PP"
     )
 
 
@@ -598,8 +611,7 @@ def solve_pop(
     alpha = beta * ps.kappa
     offset = dc.c + (1.0 - beta * beta) * dc.lambda_bar
     return solve_penalized(
-        dc.D, dc.E, dc.f, alpha=alpha, offset=offset,
-        t_lo=0.0, rho=rho, program="POP",
+        dc, alpha=alpha, offset=offset, t_lo=0.0, rho=rho, program="POP"
     )
 
 
@@ -638,14 +650,13 @@ def solve_spop(
     lb = dc.lambda_bar
     if kappa <= 1e-14:
         return replace(solve_uop(dc), program="SPOP")
-    if lb <= 1e-12 * (1.0 + spectral_norm(dc.D)):
-        sol = solve_penalized(
-            dc.D, dc.E, dc.f, alpha=kappa, offset=dc.c, t_lo=0.0,
-            rho=rho, program="SPOP",
+    pen = dc.pencil
+    if lb <= 1e-12 * (1.0 + pen.normD):
+        return solve_penalized(
+            dc, alpha=kappa, offset=dc.c, t_lo=0.0, rho=rho, program="SPOP"
         )
-        return sol
 
-    trE = float(np.trace(dc.E))
+    trE = pen.trE
     t_check = 4.0 * lb * lb / (kappa * kappa) - dc.f
     off_b = dc.c + lb + kappa * kappa * dc.f / (4.0 * lb)
     candidates: list[tuple[float, np.ndarray, float]] = []  # (value, X, cert)
@@ -657,12 +668,12 @@ def solve_spop(
         if t_p <= t_check + 1e-9 * (1.0 + abs(t_check)):
             candidates.append((float(np.sum(d_check * p_lt)) + off_b, p_lt, 0.0))
         else:
-            res = h_eq(d_check, dc.E, min(t_check, trE))
+            res = h_eq(d_check, dc.E, min(max(t_check, 0.0), trE))
             candidates.append((res.value + off_b, res.X, 0.0))
 
     if t_check <= trE + 1e-9 * (1.0 + trE):
         t_a, res_a, val_a, cert_a = _minimize_penalized(
-            dc.D, dc.E, dc.f, alpha=kappa, t_lo=max(t_check, 0.0), rho=rho
+            dc, alpha=kappa, t_lo=max(t_check, 0.0), rho=rho
         )
         candidates.append((val_a + dc.c, res_a.X, cert_a))
 

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_psd, random_sym, trace_box_oracle
+from conftest import random_psd, random_reduced_game, random_sym, trace_box_oracle
 from lqpersuasion import (
     PriorSpec,
     beta_max_value,
     derive_coefficients,
     extract_projection,
     h_eq,
+    hypothesis_wasserstein,
     neg_projections,
     no_info_optimal,
     pessimistic_noinfo_threshold,
@@ -24,6 +26,7 @@ from lqpersuasion import (
     spop_objective,
     sweep,
 )
+from lqpersuasion import programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
 from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance
 
@@ -165,6 +168,12 @@ def test_h_eq_infeasible_trace():
         h_eq(np.eye(2), np.eye(2), -0.5)
     with pytest.raises(InfeasibleTrace):
         h_eq(np.eye(2), np.eye(2), 2.5)
+    # the slack is relative to Tr E: at Tr E = 1e-9 these targets are as far
+    # outside [0, Tr E] as the ones above
+    e = 0.5e-9 * np.eye(2)
+    for t in (1.5e-9, -0.5e-9):
+        with pytest.raises(InfeasibleTrace):
+            h_eq(np.eye(2), e, t)
 
 
 def test_h_eq_zero_e():
@@ -278,7 +287,41 @@ def test_extract_projection_prefers_low_rank_on_ties():
 
 def test_solve_penalized_rejects_bad_tolerance(bench_dc):
     with pytest.raises(InvalidTolerance):
-        solve_penalized(bench_dc.D, bench_dc.E, 0.0, 1.0, 0.0, 0.0, rho=0.0)
+        solve_penalized(bench_dc, alpha=1.0, offset=0.0, t_lo=0.0, rho=0.0)
+
+
+def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
+    # PP, POP and SPOP minimize over the same h(t) of the same (D, E): each
+    # trace target is evaluated once and the pencil is decomposed once (plus
+    # once for SPOP's pure-trace branch on D + kappa^2/(4 lambda_bar) E)
+    h_eq_orig, eigvals_orig = programs.h_eq, scipy.linalg.eigvals
+    targets: list[tuple[int, float]] = []
+    pencils = [0]
+
+    def counting_h_eq(D, E, t, *args, **kwargs):
+        targets.append((hash(np.asarray(D).tobytes()), float(t)))
+        return h_eq_orig(D, E, t, *args, **kwargs)
+
+    def counting_eigvals(*args, **kwargs):
+        pencils[0] += 1
+        return eigvals_orig(*args, **kwargs)
+
+    monkeypatch.setattr(programs, "h_eq", counting_h_eq)
+    monkeypatch.setattr(scipy.linalg, "eigvals", counting_eigvals)
+    qf10 = random_reduced_game(np.random.default_rng(36), 10)
+    cases = (
+        (derive_coefficients(bench3_form(), bench3_hypothesis(1.3)), gauss3),
+        (derive_coefficients(qf10, hypothesis_wasserstein(0.5, 10)),
+         prior_stats(PriorSpec("gaussian", 10))),
+    )
+    for dc, ps in cases:
+        targets.clear()
+        pencils[0] = 0
+        solve_pp(dc, 1e-6)
+        solve_pop(dc, ps, 1e-6)
+        solve_spop(dc, ps, 1e-6)
+        assert targets and len(set(targets)) == len(targets)
+        assert 1 <= pencils[0] <= 2
 
 
 # --------------------------------------------------------------------------
