@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     NotPD,
     SingularCrossTerm,
 )
-from .spectral import default_zero_tol, eig_sym, neg_projections, sqrt_psd, sym
+from .spectral import default_zero_tol, eig_sym, sqrt_psd, sym
 
 
 # --------------------------------------------------------------------------
@@ -294,10 +294,13 @@ class DerivedCoefficients:
     negative eigenspace is where the penalty-free optimum sits.
 
     ``pencil`` is the spectral record of (D, E) that every program solved on
-    these coefficients reads: the BP projection, the pencil eigenvalues and
-    the trace-oracle values evaluated so far.  It is built on first use and
-    lives as long as this object; ``scaled`` and ``replace`` return new
-    objects with their own record.
+    these coefficients reads: the BP projection, the norms of D and E, the
+    pencil eigenvalues and the trace-oracle values evaluated so far.
+    ``scaled(s)`` multiplies E, f and the lambda_bars by s^2, so its oracle
+    is h_s(t) = h(t/s^2): the scaled object shares its ``unit`` system's
+    record and carries the cumulative factor ``scale``, and the searches on
+    it run in the unit system's coordinates.  ``replace`` returns a new unit
+    system with its own record.
     """
 
     n: int
@@ -308,19 +311,34 @@ class DerivedCoefficients:
     lambda_bar: float
     lambda_bar_2: float
     t_bar: float
+    # set by ``scaled``: the factor mapping the unit system here, and the
+    # unit system itself (None for a unit system)
+    scale: float = field(default=1.0, init=False, repr=False, compare=False)
+    _unit: "DerivedCoefficients | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def unit(self) -> "DerivedCoefficients":
+        """The unit-scale system whose record this one reads."""
+        return self if self._unit is None else self._unit
 
     @functools.cached_property
     def pencil(self):
+        if self._unit is not None:
+            return self._unit.pencil
         from .programs import _Pencil  # local import avoids a cycle
 
         return _Pencil(self.D, self.E)
 
     def scaled(self, s: float) -> "DerivedCoefficients":
         """Coefficients for the homothetically scaled hypothesis C <- s*C."""
-        if s < 0.0:
-            raise InvalidParameter("homothety factor must be nonnegative")
+        if not (math.isfinite(s) and s >= 0.0):
+            raise InvalidParameter(
+                f"homothety factor must be finite and nonnegative, got {s}"
+            )
         s2 = s * s
-        return replace(
+        out = replace(
             self,
             E=s2 * self.E,
             f=s2 * self.f,
@@ -328,12 +346,17 @@ class DerivedCoefficients:
             lambda_bar_2=s2 * self.lambda_bar_2,
             t_bar=s2 * self.t_bar,
         )
+        object.__setattr__(out, "scale", self.scale * s)
+        object.__setattr__(out, "_unit", self.unit)
+        return out
 
 
 def derive_coefficients(
     qf: QuadraticForm, hyp: EllipsoidalHypothesis
 ) -> DerivedCoefficients:
     """Derive the full coefficient system from a reduced game and hypothesis."""
+    from .programs import _Pencil  # local import avoids a cycle
+
     if hyp.n != qf.n:
         raise InvalidMatrix("hypothesis dimension does not match the game")
     C = hyp.C
@@ -347,9 +370,9 @@ def derive_coefficients(
     lambda_bar_2 = float(w[-2]) if w.size > 1 else 0.0
     fvec = C.T @ (qf.q21 @ qf.l1 + qf.q22 @ qf.l2)
     f = 4.0 * float(fvec @ fvec)
-    p_lt, _ = neg_projections(d)
-    t_bar = float(np.trace(e @ p_lt))
-    return DerivedCoefficients(
+    # t_bar is read from the record's BP projection, so D is decomposed once
+    pen = _Pencil(d, e)
+    dc = DerivedCoefficients(
         n=qf.n,
         D=d,
         E=e,
@@ -357,8 +380,10 @@ def derive_coefficients(
         c=c,
         lambda_bar=lambda_bar,
         lambda_bar_2=lambda_bar_2,
-        t_bar=t_bar,
+        t_bar=float(np.trace(e @ pen.bp)),
     )
+    object.__setattr__(dc, "pencil", pen)  # the record t_bar was read from
+    return dc
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,11 @@ that the returned value is within ``rho`` of the true minimum.
 PP, POP and SPOP's linear regime differ only in alpha, so they minimize over
 the same h of the same (D, E).  The programs solved on one
 ``DerivedCoefficients`` read its ``pencil`` record: one BP projection, one
-set of pencil eigenvalues and one oracle evaluation per distinct t.
+set of pencil eigenvalues and one oracle evaluation per distinct t.  A
+homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
+is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
+system, and its searches minimize h_1(s) + alpha*eps*sqrt(f_1 + s) in unit
+coordinates s = t/eps^2, so that a whole sweep shares one record.
 """
 
 from __future__ import annotations
@@ -122,31 +126,57 @@ def _build_primal(D, E, t, lam, w, v, ztol):
 
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
-    the same pair: the symmetrized matrices, their spectral norms, Tr E and,
-    on first use, the jumps of the supergradient (see ``_multiplier``), the
+    the same pair: the symmetrized matrices, Tr E and, on first use, their
+    spectral norms, the jumps of the supergradient (see ``_multiplier``), the
     projection onto D's negative eigenspace (the BP optimum) and the oracle
-    values h(t) evaluated so far.  ``DerivedCoefficients.pencil`` holds one
-    per coefficient system, so every program solved on it shares them."""
+    values h(t) evaluated so far.
+
+    ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
+    system, and every homothetic rescaling of it reads the same record: with
+    E scaled by e^2, h_e(t) = h(t/e^2) and the multiplier scales by 1/e^2,
+    while values, dual values and X do not depend on e.  ``shifted(k)``
+    keeps the record of (D + k*E, E) per k, the pair of SPOP's quadratic
+    regime, which does not depend on the scale either."""
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
         self.D = sym(D)
         self.E = sym(E)
-        self.normD = spectral_norm(self.D)
-        self.normE = spectral_norm(self.E)
         self.trE = float(np.trace(self.E))
         self.evals: dict[float, HOracleResult] = {}
+        self._shifted: dict[float, _Pencil] = {}
+
+    @functools.cached_property
+    def normD(self) -> float:
+        return spectral_norm(self.D)
+
+    @functools.cached_property
+    def normE(self) -> float:
+        return spectral_norm(self.E)
 
     @functools.cached_property
     def bp(self) -> np.ndarray:
         """Projection onto the negative eigenspace of D."""
         return neg_projections(self.D)[0]
 
-    def h(self, t: float) -> HOracleResult:
-        """``h_eq`` at trace target t, evaluated once per distinct t."""
+    def h(self, t: float, e2: float = 1.0) -> HOracleResult:
+        """``h_eq`` at trace target t for a reader of the pair (D, e2*E).
+
+        The result's duality gap meets that pair's default tolerance
+        1e-9*(1 + |D| + e2*|E|).  Each t is evaluated once, and again only
+        when a reader at a smaller scale needs a tighter gap than the stored
+        one has."""
         t = float(t)
-        if t not in self.evals:
-            self.evals[t] = h_eq(self.D, self.E, t, pencil=self)
-        return self.evals[t]
+        tol = 1e-9 * (1.0 + self.normD + e2 * self.normE)
+        r = self.evals.get(t)
+        if r is None or abs(r.value - r.dual_value) > tol:
+            r = self.evals[t] = h_eq(self.D, self.E, t, tol=tol, pencil=self)
+        return r
+
+    def shifted(self, k: float) -> "_Pencil":
+        """The record of (D + k*E, E), built once per k."""
+        if k not in self._shifted:
+            self._shifted[k] = _Pencil(self.D + k * self.E, self.E)
+        return self._shifted[k]
 
     @functools.cached_property
     def jumps(self) -> np.ndarray:
@@ -401,64 +431,83 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho:
     Best-first interval subdivision: each interval [a, b] carries the lower
     bound h(b) + alpha*sqrt(f+a) (h nonincreasing, the penalty increasing),
     and subdivision stops once every remaining interval's bound is within
-    ``rho`` of the incumbent.  h is read from ``dc.pencil``, so searches on
-    the same coefficient system share their oracle evaluations.
+    ``rho`` of the incumbent.
+
+    The search runs on ``dc.pencil``, the record of the unit system that
+    ``dc`` rescales by e = ``dc.scale``: with s = t/e^2 the objective is
+    h1(s) + alpha*e*sqrt(f1 + s), so the searches of every program at every
+    scale share their oracle evaluations.  The seed grid is sqrt-spaced over
+    the unit system's [0, t_bar], whatever t_lo is, so that it lands on the
+    same unit points at every scale.  The returned oracle result is the
+    record's (its X does not depend on the scale); t_best is in dc's units.
     """
-    if rho <= 0.0:
-        raise InvalidTolerance("suboptimality budget rho must be positive")
+    if not rho > 0.0:
+        raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    pen = dc.pencil
-    h, trE = pen.h, pen.trE
-    f = max(float(dc.f), 0.0)
-    t_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), trE)
-    t_lo = min(max(float(t_lo), 0.0), trE)
-    t_hi = max(t_bar, t_lo)
+    pen, e = dc.pencil, dc.scale
+    e2 = e * e
+    if e2 * pen.trE <= 1e-13 * (1.0 + e2 * pen.normE):
+        # E vanishes at this scale: the constraint is vacuous and the optimum
+        # is the BP projection at t = 0
+        value = float(np.sum(pen.D * pen.bp))
+        res = HOracleResult(
+            t=0.0, value=value, X=pen.bp, lambda_dual=0.0,
+            interpolation_theta=0.0, dual_value=value,
+        )
+        return 0.0, res, value + alpha * math.sqrt(max(float(dc.f), 0.0)), 0.0
 
-    def j(tv: float) -> float:
-        return h(tv).value + alpha * math.sqrt(max(f + tv, 0.0))
+    trE = pen.trE
+    w = alpha * e
+
+    def h(sv: float) -> HOracleResult:
+        return pen.h(sv, e2)
+
+    f = max(float(dc.unit.f), 0.0)
+    s_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), trE)
+    s_lo = min(max(float(t_lo) / e2, 0.0), trE)
+    s_hi = max(s_bar, s_lo)
+
+    def j(sv: float) -> float:
+        return h(sv).value + w * math.sqrt(max(f + sv, 0.0))
 
     def interval_lb(a: float, b: float) -> float:
         """Lower bound for j on [a, b] with both endpoints already evaluated.
 
-        Combines the monotonicity bound h(b) + alpha*sqrt(f+a) with the
-        convexity tangents h(t) >= h(t0) - lam_t0*(t - t0) at both endpoints
+        Combines the monotonicity bound h(b) + w*sqrt(f+a) with the
+        convexity tangents h(s) >= h(s0) - lam_s0*(s - s0) at both endpoints
         (the dual multiplier is a subgradient slope of -h); the tangent bound
         is exact to second order near the penalized minimizer, which keeps
         the subdivision from stalling on flat stretches.  Each tangent minorant
-        plus the penalty is concave in t, so its minimum over [a, b] is at an
+        plus the penalty is concave in s, so its minimum over [a, b] is at an
         endpoint.
         """
         ra, rb = h(a), h(b)
-        lb = rb.value + alpha * math.sqrt(f + a)
+        lb = rb.value + w * math.sqrt(f + a)
         slack = 1e-9 * (1.0 + abs(ra.value) + abs(rb.value))
-        for t0, r in ((b, rb), (a, ra)):
+        for s0, r in ((b, rb), (a, ra)):
             lam = max(float(r.lambda_dual), 0.0)
-            if t0 == a and lam <= 0.0:
+            if s0 == a and lam <= 0.0:
                 continue  # a zero slope taken at the left endpoint is invalid
 
-            def tangent(tv: float) -> float:
-                return r.value - lam * (tv - t0) + alpha * math.sqrt(f + tv)
+            def tangent(sv: float) -> float:
+                return r.value - lam * (sv - s0) + w * math.sqrt(f + sv)
 
             lb = max(lb, min(tangent(a), tangent(b)) - slack)
         return lb
 
-    if trE <= 1e-13 * (1.0 + pen.normE) or t_hi - t_lo <= 1e-14 * (1.0 + t_hi):
-        val = j(t_lo)
-        return t_lo, h(t_lo), val, 0.0
+    if s_hi - s_lo <= 1e-14 * (1.0 + s_hi):
+        return e2 * s_lo, h(s_lo), j(s_lo), 0.0
 
-    s_lo = math.sqrt(f + t_lo)
-    s_hi = math.sqrt(f + t_hi)
-    seeds_s = np.linspace(s_lo, s_hi, 9)
-    ts = sorted({t_lo, t_hi, *(max(float(s * s - f), 0.0) for s in seeds_s)})
-    ts = [min(max(tv, t_lo), t_hi) for tv in ts]
-    vals = {tv: j(tv) for tv in ts}
+    seeds = np.linspace(math.sqrt(f), math.sqrt(f + s_bar), 9)
+    grid = {min(max(float(q * q - f), 0.0), s_hi) for q in seeds}
+    ss = sorted({s_lo, s_hi, *(sv for sv in grid if sv > s_lo)})
+    vals = {sv: j(sv) for sv in ss}
     best_val = min(vals.values())
 
     heap: list[tuple[float, float, float]] = []
-    for a, b in zip(ts[:-1], ts[1:]):
-        if b - a > 0.0:
-            heapq.heappush(heap, (interval_lb(a, b), a, b))
+    for a, b in zip(ss[:-1], ss[1:]):
+        heapq.heappush(heap, (interval_lb(a, b), a, b))
 
     margin = rho * (1.0 - 1e-9)
     while heap and heap[0][0] < best_val - margin:
@@ -468,10 +517,10 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho:
                 f"certifying rho={rho}"
             )
         _, a, b = heapq.heappop(heap)
-        sa, sb = math.sqrt(f + a), math.sqrt(f + b)
-        if sb - sa <= 1e-13 * (1.0 + sb):
+        qa, qb = math.sqrt(f + a), math.sqrt(f + b)
+        if qb - qa <= 1e-13 * (1.0 + qb):
             continue  # interval at floating-point resolution; its bound stands
-        mid = max(float((0.5 * (sa + sb)) ** 2 - f), 0.0)
+        mid = max(float((0.5 * (qa + qb)) ** 2 - f), 0.0)
         mid = min(max(mid, a), b)
         if mid <= a or mid >= b:
             continue
@@ -485,8 +534,8 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho:
     certified = max(0.0, min(certified, rho))
     # tie-break toward the smallest trace (prefers revealing less)
     tie = 1e-12 * (1.0 + abs(best_val))
-    t_best = min(tv for tv, v in vals.items() if v <= best_val + tie)
-    return t_best, h(t_best), vals[t_best], certified
+    s_best = min(sv for sv, v in vals.items() if v <= best_val + tie)
+    return e2 * s_best, h(s_best), vals[s_best], certified
 
 
 # --------------------------------------------------------------------------
@@ -656,22 +705,26 @@ def solve_spop(
             dc, alpha=kappa, offset=dc.c, t_lo=0.0, rho=rho, program="SPOP"
         )
 
+    # the quadratic regime's pair (D + kappa^2/(4*lambda_bar)*E, E) is the
+    # same at every scale: read its unit-scale record at s_check = t_check/e^2
+    e2 = dc.scale * dc.scale
     trE = pen.trE
     t_check = 4.0 * lb * lb / (kappa * kappa) - dc.f
+    s_check = t_check / e2
     off_b = dc.c + lb + kappa * kappa * dc.f / (4.0 * lb)
     candidates: list[tuple[float, np.ndarray, float]] = []  # (value, X, cert)
 
-    if t_check >= -1e-12 * (1.0 + trE):
-        d_check = sym(dc.D + (kappa * kappa / (4.0 * lb)) * dc.E)
-        p_lt, _ = neg_projections(d_check)
-        t_p = float(np.sum(dc.E * p_lt))
-        if t_p <= t_check + 1e-9 * (1.0 + abs(t_check)):
-            candidates.append((float(np.sum(d_check * p_lt)) + off_b, p_lt, 0.0))
+    if s_check >= -1e-12 * (1.0 + trE):
+        chk = pen.shifted(kappa * kappa / (4.0 * dc.unit.lambda_bar))
+        p_lt = chk.bp
+        s_p = float(np.sum(chk.E * p_lt))
+        if s_p <= s_check + 1e-9 * (1.0 + abs(s_check)):
+            candidates.append((float(np.sum(chk.D * p_lt)) + off_b, p_lt, 0.0))
         else:
-            res = h_eq(d_check, dc.E, min(max(t_check, 0.0), trE))
+            res = chk.h(min(max(s_check, 0.0), trE), e2)
             candidates.append((res.value + off_b, res.X, 0.0))
 
-    if t_check <= trE + 1e-9 * (1.0 + trE):
+    if s_check <= trE + 1e-9 * (1.0 + trE):
         t_a, res_a, val_a, cert_a = _minimize_penalized(
             dc, alpha=kappa, t_lo=max(t_check, 0.0), rho=rho
         )
@@ -790,7 +843,8 @@ def sweep(
 ) -> list[SweepRow]:
     """Solve UOP/POP/SPOP/PP along a homothetic hypothesis sweep C = eps*C0.
 
-    ``dc_base`` must be derived at the base hypothesis C0.  When ``mc`` is
+    ``dc_base`` must be derived at the base hypothesis C0; every eps reads
+    its oracle record through ``dc_base.scaled(eps)``.  When ``mc`` is
     given ({"samples": int, "seed": int}), the true cost of the pessimistic
     solution's projection is estimated by Monte Carlo, which additionally
     requires ``qf``, ``C0`` and ``prior``.

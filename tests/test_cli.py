@@ -238,6 +238,19 @@ def test_malformed_instance_exits_2(tmp_path, capsys, doc):
     assert "input error" in capsys.readouterr().err
 
 
+def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
+    inst = _bench_instance(tmp_path)
+    for argv in (
+        ["sweep", "--instance", inst, "--eps-hi", "nan", "--steps", "3",
+         "--out", str(tmp_path / "sweep.csv")],
+        ["solve", "--instance", inst, "--program", "pp", "--rho", "nan",
+         "--out", str(tmp_path / "pp.json")],
+    ):
+        rc = cli.main(argv)
+        assert rc == 2, argv
+        assert "input error" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = cli.main(["solve", "--instance", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -161,8 +161,13 @@ def test_scaled_homothety():
         assert ds.t_bar == pytest.approx(dd.t_bar, rel=1e-10, abs=1e-9)
         assert np.array_equal(ds.D, dc.D)
         assert ds.c == dc.c
-    with pytest.raises(InvalidParameter):
-        dc.scaled(-1.0)
+        # the scaled system reads the unit system's oracle record
+        assert ds.scale == s and ds.unit is dc and ds.pencil is dc.pencil
+    twice = dc.scaled(0.5).scaled(3.0)
+    assert twice.scale == 1.5 and twice.unit is dc
+    for s in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            dc.scaled(s)
 
 
 def test_derive_dimension_mismatch():

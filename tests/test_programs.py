@@ -26,7 +26,7 @@ from lqpersuasion import (
     spop_objective,
     sweep,
 )
-from lqpersuasion import programs
+from lqpersuasion import instance, programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
 from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance
 
@@ -286,8 +286,9 @@ def test_extract_projection_prefers_low_rank_on_ties():
 
 
 def test_solve_penalized_rejects_bad_tolerance(bench_dc):
-    with pytest.raises(InvalidTolerance):
-        solve_penalized(bench_dc, alpha=1.0, offset=0.0, t_lo=0.0, rho=0.0)
+    for rho in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidTolerance):
+            solve_penalized(bench_dc, alpha=1.0, offset=0.0, t_lo=0.0, rho=rho)
 
 
 def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
@@ -427,3 +428,105 @@ def test_sweep_monotone_pp_value(bench_dc, gauss3):
     vals = [r.val_pp for r in rows]
     # a larger credible ball can only hurt the sender
     assert all(b >= a - 1e-5 for a, b in zip(vals, vals[1:]))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Counter of the calls to ``module.name``."""
+    orig = getattr(module, name)
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return count
+
+
+def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
+    # every eps of a homothetic sweep reads the oracle of the unit-scale
+    # system, h_eps(t) = h_1(t/eps^2), and SPOP's quadratic regime reads one
+    # record of D + kappa^2/(4 lambda_bar) E, which does not depend on eps
+    heq = _count_calls(monkeypatch, programs, "h_eq")
+    pencils = _count_calls(monkeypatch, scipy.linalg, "eigvals")
+    base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    rows = sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
+    assert len(rows) == 200
+    assert heq[0] < 500
+    assert pencils[0] <= 3
+
+
+def test_sweep_decomposes_d_once(monkeypatch, gauss3):
+    # t_bar, the BP projection and every eps of the sweep (eps = 0 included)
+    # read one eigendecomposition of D, which does not depend on eps
+    d = derive_coefficients(bench3_form(), bench3_hypothesis(1.0)).D
+    calls = [0]
+
+    def counting(a, *args, **kwargs):
+        calls[0] += np.array_equal(a, d)
+        return neg_projections(a, *args, **kwargs)
+
+    for module in (programs, instance):
+        if hasattr(module, "neg_projections"):
+            monkeypatch.setattr(module, "neg_projections", counting)
+    base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    sweep(base, gauss3, np.linspace(0.0, 2.5, 20), rho=1e-4)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("case", ["bench3", "n10"])
+def test_scaled_programs_match_fresh_derivation(monkeypatch, case):
+    # solving on base.scaled(eps) searches the unit-scale record in unit
+    # coordinates; a fresh derivation at eps*C0 searches its own record.
+    # Both must certify the same optimum, and every oracle value the scaled
+    # searches read must meet the gap tolerance of the pair (D, E_eps) they
+    # stand for, 1e-9*(1 + |D| + |E_eps|).  The scales run downward, so that
+    # values first evaluated for a large eps are read again at a small one.
+    if case == "bench3":
+        qf, n = bench3_form(), 3
+    else:
+        qf, n = random_reduced_game(np.random.default_rng(61), 10), 10
+        assert np.any(qf.l != 0.0)
+    ps = prior_stats(PriorSpec("gaussian", n))
+    base = derive_coefficients(qf, hypothesis_wasserstein(1.0, n))
+    rho = 1e-6 * (1.0 + abs(solve_bp(base).value))
+    reads: list[tuple[np.ndarray, programs.HOracleResult]] = []
+    h_orig = programs._Pencil.h
+
+    def recording_h(self, *args, **kwargs):
+        res = h_orig(self, *args, **kwargs)
+        reads.append((self.D, res))
+        return res
+
+    monkeypatch.setattr(programs._Pencil, "h", recording_h)
+
+    def norm(a):
+        return float(np.linalg.norm(a, 2))
+
+    for eps in (40.0, 2.5, 1.3, 0.088, 1e-3):
+        fresh = derive_coefficients(qf, hypothesis_wasserstein(eps, n))
+        scaled = base.scaled(eps)
+        # a search with a lower trace bound, as in SPOP's linear regime:
+        # bounds and the returned trace are in the caller's units
+        t_lo = 0.5 * fresh.t_bar
+        reads.clear()
+        got = [solve_pp(scaled, rho), solve_pop(scaled, ps, rho), solve_spop(scaled, ps, rho)]
+        t_s, res_s, val_s, _ = programs._minimize_penalized(scaled, 1.0, t_lo, rho)
+        scaled_reads = list(reads)
+        want = [solve_pp(fresh, rho), solve_pop(fresh, ps, rho), solve_spop(fresh, ps, rho)]
+        _, _, val_f, _ = programs._minimize_penalized(fresh, 1.0, t_lo, rho)
+        for g, w in zip(got, want):
+            assert abs(g.value - w.value) <= rho, (eps, g.program)
+            assert g.rank == w.rank, (eps, g.program)
+        assert abs(val_s - val_f) <= rho, eps
+        assert t_s >= t_lo * (1.0 - 1e-12)
+        assert float(np.sum(scaled.E * res_s.X)) == pytest.approx(t_s, rel=1e-9, abs=1e-12)
+        assert scaled_reads
+        norm_e = norm(scaled.E)
+        for d, res in scaled_reads:
+            assert abs(res.value - res.dual_value) <= 1e-9 * (1.0 + norm(d) + norm_e), eps
+
+    zero = base.scaled(0.0)
+    bp_rank = solve_bp(base).rank
+    for sol in (solve_pp(zero, rho), solve_pop(zero, ps, rho), solve_spop(zero, ps, rho)):
+        assert sol.rank == bp_rank
