@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, instance as inst, programs
-from .errors import InputError, NumericalError
+from .errors import InputError, InvalidTolerance, NumericalError
 
 PROGRAMS = ("bp", "pp", "uop", "pop", "spop")
 
@@ -29,15 +29,18 @@ PROGRAMS = ("bp", "pp", "uop", "pop", "spop")
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    """17 significant digits; nan, inf and -inf as Python spells them."""
     return format(float(x), ".17g")
 
 
 def _dump_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON text; a 2-D array is written a row per line."""
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and obj.ndim == 1:
+        vals = obj.astype(float).tolist()
+        if np.all(np.isfinite(obj)):  # one %-format for the whole row
+            return "[" + ", ".join(["%.17g"] * len(vals)) % tuple(vals) + "]"
+        return "[" + ", ".join(map(_dump_json, vals)) + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -46,10 +49,10 @@ def _dump_json(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj)
         if flat:
             return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
         items = [f"{pad}  {_dump_json(v, indent + 1)}" for v in obj]
@@ -59,14 +62,12 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        # JSON has no literal for nan or +-inf: those are written as strings
+        x = float(obj)
+        return _fmt(x) if math.isfinite(x) else f'"{_fmt(x)}"'
     if obj is None:
         return "null"
     return json.dumps(obj)
-
-
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.atleast_2d(np.asarray(a, float))]
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -196,11 +197,23 @@ def _base_hypothesis(hyp: inst.EllipsoidalHypothesis) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def _load(args):
+    """(qf, hyp, prior, dc0, ps, rho) of ``args.instance``, derived once at C0;
+    the default rho reads the BP value, which does not depend on the scale."""
     qf, hyp, prior = parse_instance(args.instance)
-    dc = inst.derive_coefficients(qf, hyp)
+    dc0 = inst.derive_coefficients(
+        qf, inst.EllipsoidalHypothesis(C=_base_hypothesis(hyp))
+    )
     ps = inst.prior_stats(prior)
-    rho = args.rho if args.rho is not None else programs.default_rho(dc)
+    rho = args.rho if args.rho is not None else programs.default_rho(dc0)
+    if not rho > 0.0:
+        raise InvalidTolerance(f"--rho must be positive, got {rho}")
+    return qf, hyp, prior, dc0, ps, rho
+
+
+def cmd_solve(args) -> int:
+    _, hyp, _, dc0, ps, rho = _load(args)
+    dc = dc0 if hyp.base is None else dc0.scaled(hyp.scale)
     names = PROGRAMS if args.program == "all" else (args.program,)
 
     solvers = {
@@ -219,21 +232,18 @@ def cmd_solve(args) -> int:
                 "value": sol.value,
                 "rank": sol.rank,
                 "rho": sol.rho,
-                "Sigma": _matrix(sol.Sigma),
-                "projection": _matrix(sol.projection),
+                "Sigma": sol.Sigma,
+                "projection": sol.projection,
             }
         )
 
-    dc0 = inst.derive_coefficients(
-        qf, inst.EllipsoidalHypothesis(C=_base_hypothesis(hyp))
-    )
-    s_raw = programs.pessimistic_noinfo_threshold(dc0.D, dc0.E, dc0.f)
+    s_raw = programs.pessimistic_noinfo_threshold(dc)
     record = {
         "schema_version": "1",
         "rho": rho,
         "coefficients": {
-            "D": _matrix(dc.D),
-            "E": _matrix(dc.E),
+            "D": dc.D,
+            "E": dc.E,
             "f": dc.f,
             "c": dc.c,
             "lambda_bar": dc.lambda_bar,
@@ -259,27 +269,16 @@ def _csv_rows(rows, with_mc: bool) -> str:
         header += ",mc_true_mean,mc_true_stderr"
     lines = [header]
     for r in rows:
-        cells = [
-            _fmt(r.epsilon).strip('"'),
-            _fmt(r.val_uop).strip('"'),
-            _fmt(r.val_pop).strip('"'),
-            _fmt(r.val_spop).strip('"'),
-            _fmt(r.val_pp).strip('"'),
-            _fmt(r.val_2uop).strip('"'),
-            str(r.rank_pp),
-        ]
+        vals = (r.epsilon, r.val_uop, r.val_pop, r.val_spop, r.val_pp, r.val_2uop)
+        cells = [_fmt(v) for v in vals] + [str(r.rank_pp)]
         if with_mc:
-            cells += [_fmt(r.mc_true_mean).strip('"'), _fmt(r.mc_true_stderr).strip('"')]
+            cells += [_fmt(r.mc_true_mean), _fmt(r.mc_true_stderr)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
-    qf, hyp, prior = parse_instance(args.instance)
-    c0 = _base_hypothesis(hyp)
-    dc_base = inst.derive_coefficients(qf, inst.EllipsoidalHypothesis(C=c0))
-    ps = inst.prior_stats(prior)
-    rho = args.rho if args.rho is not None else programs.default_rho(dc_base)
+    qf, hyp, prior, dc_base, ps, rho = _load(args)
     if args.steps < 1:
         raise InstanceFileError("--steps must be >= 1")
     if args.steps == 1:
@@ -290,7 +289,7 @@ def cmd_sweep(args) -> int:
     if args.mc_samples is not None:
         mc = {"samples": args.mc_samples, "seed": args.mc_seed}
     rows = programs.sweep(
-        dc_base, ps, grid, rho, qf=qf, C0=c0, prior=prior, mc=mc
+        dc_base, ps, grid, rho, qf=qf, C0=_base_hypothesis(hyp), prior=prior, mc=mc
     )
     _write_text(args.out, _csv_rows(rows, with_mc=mc is not None))
     return 0
@@ -311,9 +310,7 @@ def cmd_example(args) -> int:
     cols = ("abp_ni", "abp_fi", "pp_ni", "pp_fi", "pop_ni", "pop_fi")
     lines = ["epsilon," + ",".join(cols)]
     for e, vals in rows:
-        lines.append(
-            ",".join([_fmt(float(e)).strip('"')] + [_fmt(vals[c]).strip('"') for c in cols])
-        )
+        lines.append(",".join([_fmt(e)] + [_fmt(vals[c]) for c in cols]))
     _write_text(args.out, "\n".join(lines) + "\n")
 
     sys.stdout.write(
@@ -334,10 +331,7 @@ def cmd_example(args) -> int:
                     args.k, args.n, eps, r_star * 1.01, r_star * 4.0, 40
                 )
                 scan_path = str(Path(args.out).with_suffix("")) + "_radius.csv"
-                scan_lines = ["R,cost"] + [
-                    f"{_fmt(r).strip(chr(34))},{_fmt(cst).strip(chr(34))}"
-                    for r, cst in scan
-                ]
+                scan_lines = ["R,cost"] + [f"{_fmt(r)},{_fmt(cst)}" for r, cst in scan]
                 _write_text(scan_path, "\n".join(scan_lines) + "\n")
     return 0
 

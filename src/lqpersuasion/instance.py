@@ -293,14 +293,16 @@ class DerivedCoefficients:
     0 <= Sigma <= I.  t_bar = Tr(E P) with P the projection onto D's
     negative eigenspace is where the penalty-free optimum sits.
 
-    ``pencil`` is the spectral record of (D, E) that every program solved on
-    these coefficients reads: the BP projection, the norms of D and E, the
-    pencil eigenvalues and the trace-oracle values evaluated so far.
-    ``scaled(s)`` multiplies E, f and the lambda_bars by s^2, so its oracle
-    is h_s(t) = h(t/s^2): the scaled object shares its ``unit`` system's
-    record and carries the cumulative factor ``scale``, and the searches on
-    it run in the unit system's coordinates.  ``replace`` returns a new unit
-    system with its own record.
+    ``pencil`` is the spectral record of (D, E) that every program and
+    structural check solved on these coefficients reads: the BP projection,
+    the eigenvalues and norms of D and E, the pencil eigenvalues and the
+    trace-oracle values evaluated so far.  ``scaled(s)`` multiplies E, f and
+    the lambda_bars by s^2, so its oracle is h_s(t) = h(t/s^2): the scaled
+    object shares its ``unit`` system's record and carries the cumulative
+    factor ``scale``, and the searches on it run in the unit system's
+    coordinates.  The CLI derives every instance once, at its unit
+    hypothesis C0, and solves C = eps*C0 on ``scaled(eps)``.  ``replace``
+    returns a new unit system with its own record.
     """
 
     n: int
@@ -338,13 +340,15 @@ class DerivedCoefficients:
                 f"homothety factor must be finite and nonnegative, got {s}"
             )
         s2 = s * s
+        # "+ 0.0" turns the -0.0 of 0 * (negative) into 0.0, as a derivation
+        # at C = 0 writes it
         out = replace(
             self,
-            E=s2 * self.E,
-            f=s2 * self.f,
-            lambda_bar=s2 * self.lambda_bar,
-            lambda_bar_2=s2 * self.lambda_bar_2,
-            t_bar=s2 * self.t_bar,
+            E=s2 * self.E + 0.0,
+            f=s2 * self.f + 0.0,
+            lambda_bar=s2 * self.lambda_bar + 0.0,
+            lambda_bar_2=s2 * self.lambda_bar_2 + 0.0,
+            t_bar=s2 * self.t_bar + 0.0,
         )
         object.__setattr__(out, "scale", self.scale * s)
         object.__setattr__(out, "_unit", self.unit)

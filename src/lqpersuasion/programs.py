@@ -60,7 +60,7 @@ from .errors import (
     OracleDiverged,
 )
 from .instance import DerivedCoefficients, PriorStats
-from .spectral import eig_sym, neg_projections, spectral_norm, sym
+from .spectral import eig_sym, neg_projections, sym
 
 
 @dataclass
@@ -71,7 +71,6 @@ class HOracleResult:
     value: float
     X: np.ndarray
     lambda_dual: float
-    interpolation_theta: float
     dual_value: float = 0.0
 
 
@@ -121,20 +120,22 @@ def _build_primal(D, E, t, lam, w, v, ztol):
     # exact dual value phi(lam) = sum_i min(mu_i, 0) - lam*t: a valid lower
     # bound at any multiplier, independent of the zero classification
     dual = float(np.sum(np.minimum(w, 0.0))) - lam * t
-    return x, theta, primal, dual
+    return x, primal, dual
 
 
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
-    the same pair: the symmetrized matrices, Tr E and, on first use, their
-    spectral norms, the jumps of the supergradient (see ``_multiplier``), the
+    the same pair: the symmetrized matrices, Tr E and, on first use, the
+    spectra of D and E (one ``eigvalsh`` each) and the spectral norms read
+    from them, the jumps of the supergradient (see ``_multiplier``), the
     projection onto D's negative eigenspace (the BP optimum) and the oracle
     values h(t) evaluated so far.
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
     E scaled by e^2, h_e(t) = h(t/e^2) and the multiplier scales by 1/e^2,
-    while values, dual values and X do not depend on e.  ``shifted(k)``
+    while values, dual values and X do not depend on e.  The structural
+    checks read their eigenvalues of D and E here too.  ``shifted(k)``
     keeps the record of (D + k*E, E) per k, the pair of SPOP's quadratic
     regime, which does not depend on the scale either."""
 
@@ -146,12 +147,22 @@ class _Pencil:
         self._shifted: dict[float, _Pencil] = {}
 
     @functools.cached_property
+    def eigD(self) -> np.ndarray:
+        """Eigenvalues of D, ascending."""
+        return np.linalg.eigvalsh(self.D)
+
+    @functools.cached_property
+    def eigE(self) -> np.ndarray:
+        """Eigenvalues of E, ascending."""
+        return np.linalg.eigvalsh(self.E)
+
+    @functools.cached_property
     def normD(self) -> float:
-        return spectral_norm(self.D)
+        return float(np.max(np.abs(self.eigD), initial=0.0))
 
     @functools.cached_property
     def normE(self) -> float:
-        return spectral_norm(self.E)
+        return float(np.max(np.abs(self.eigE), initial=0.0))
 
     @functools.cached_property
     def bp(self) -> np.ndarray:
@@ -366,12 +377,9 @@ def h_eq(
 
     if trE <= 1e-13 * (1.0 + normE):
         # E vanishes: the constraint is vacuous at t ~ 0
-        p_lt, _ = neg_projections(D)
+        p_lt = pen.bp
         value = float(np.sum(D * p_lt))
-        return HOracleResult(
-            t=t, value=value, X=p_lt, lambda_dual=0.0,
-            interpolation_theta=0.0, dual_value=value,
-        )
+        return HOracleResult(t=t, value=value, X=p_lt, lambda_dual=0.0, dual_value=value)
 
     # the endpoint band is relative to Tr E, so that h_eq(D, s*E, s*t) is
     # h_eq(D, E, t) at every scale s
@@ -397,22 +405,16 @@ def h_eq(
             un = vk @ uk[:, neg]
             x += un @ un.T
             value += float(np.sum(wk[neg]))
-        return HOracleResult(
-            t=t, value=value, X=sym(x), lambda_dual=0.0,
-            interpolation_theta=0.0, dual_value=value,
-        )
+        return HOracleResult(t=t, value=value, X=sym(x), lambda_dual=0.0, dual_value=value)
 
     p = _multiplier(pen, t, gap_tol=0.25 * tol)
-    x, theta, primal, dual = _build_primal(D, E, t, p.lam, p.w, p.v, p.ztol)
+    x, primal, dual = _build_primal(D, E, t, p.lam, p.w, p.v, p.ztol)
     if abs(primal - dual) > tol:
         raise OracleDiverged(
             f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
             f"at t={t}"
         )
-    return HOracleResult(
-        t=t, value=primal, X=x, lambda_dual=p.lam,
-        interpolation_theta=theta, dual_value=dual,
-    )
+    return HOracleResult(t=t, value=primal, X=x, lambda_dual=p.lam, dual_value=dual)
 
 
 # --------------------------------------------------------------------------
@@ -451,10 +453,7 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho:
         # E vanishes at this scale: the constraint is vacuous and the optimum
         # is the BP projection at t = 0
         value = float(np.sum(pen.D * pen.bp))
-        res = HOracleResult(
-            t=0.0, value=value, X=pen.bp, lambda_dual=0.0,
-            interpolation_theta=0.0, dual_value=value,
-        )
+        res = HOracleResult(t=0.0, value=value, X=pen.bp, lambda_dual=0.0, dual_value=value)
         return 0.0, res, value + alpha * math.sqrt(max(float(dc.f), 0.0)), 0.0
 
     trE = pen.trE
@@ -747,12 +746,11 @@ def solve_spop(
 # --------------------------------------------------------------------------
 
 
-def no_info_optimal(D: np.ndarray, tol: float | None = None) -> bool:
-    """True iff revealing nothing is optimal for the Bayesian program (D >= 0)."""
-    D = sym(D)
-    if tol is None:
-        tol = 1e-9 * (1.0 + spectral_norm(D))
-    return bool(np.min(np.linalg.eigvalsh(D)) >= -tol)
+def no_info_optimal(dc: DerivedCoefficients) -> bool:
+    """True iff revealing nothing is optimal for the Bayesian program (D >= 0),
+    up to 1e-9 * (1 + |D|); reads the spectrum of D from ``dc.pencil``."""
+    pen = dc.pencil
+    return bool(pen.eigD[0] >= -1e-9 * (1.0 + pen.normD))
 
 
 @dataclass(frozen=True)
@@ -767,48 +765,48 @@ class SignalingCheck:
         return self.profitable
 
 
-def signaling_profitable(dc: DerivedCoefficients, tol: float | None = None) -> SignalingCheck:
+def signaling_profitable(dc: DerivedCoefficients) -> SignalingCheck:
     """True iff no-information is provably strictly suboptimal for the true
     program: lambda_max(D) < -(f + Tr E) / (4 (lambda_bar - lambda_bar_2)).
 
-    Invariant under homothetic scaling of the hypothesis (numerator and
-    denominator both scale with the squared radius).
+    Inapplicable when lambda_bar - lambda_bar_2 <= 1e-9 * (1 + lambda_bar).
+    lambda_max(D), |D| and Tr E are read from ``dc.pencil``, the record of
+    the unit system, with Tr E scaled to dc.  Invariant under homothetic
+    scaling of the hypothesis (numerator and denominator both scale with the
+    squared radius).
     """
     gap = dc.lambda_bar - dc.lambda_bar_2
-    if tol is None:
-        tol = 1e-9 * (1.0 + dc.lambda_bar)
-    if gap <= tol:
+    if gap <= 1e-9 * (1.0 + dc.lambda_bar):
         return SignalingCheck(profitable=False, applicable=False)
-    threshold = -(dc.f + float(np.trace(dc.E))) / (4.0 * gap)
-    lmax_d = float(np.max(np.linalg.eigvalsh(sym(dc.D))))
-    strict_tol = 1e-9 * (1.0 + abs(threshold) + spectral_norm(dc.D))
+    pen = dc.pencil
+    threshold = -(dc.f + dc.scale * dc.scale * pen.trE) / (4.0 * gap)
+    strict_tol = 1e-9 * (1.0 + abs(threshold) + pen.normD)
+    lmax_d = float(pen.eigD[-1])
     return SignalingCheck(profitable=lmax_d < threshold - strict_tol, applicable=True)
 
 
-def pessimistic_noinfo_threshold(
-    D: np.ndarray, E0: np.ndarray, f0: float, tol: float | None = None
-) -> float:
+def pessimistic_noinfo_threshold(dc: DerivedCoefficients) -> float:
     """Smallest scale s >= 0 at which no-information solves the pessimistic
-    program for the hypothesis family (E, f) = (s*E0, s*f0).
+    program for the hypothesis family (E, f) = (s*E1, s*f1) of dc's unit
+    system (E1, f1).
 
     The sufficient matrix condition E >= ((sqrt(f) - Tr(D P))^2 - f) I with
     P the negative-eigenspace projection of D reduces, along the family, to
-    a quadratic inequality in sqrt(s) solved in closed form.  Returns the
-    raw scalar s; the caller owns the mapping to its own parameterization
-    (for a hypothesis C = eps*C0, s plays eps^2).
+    a quadratic inequality in sqrt(s) solved in closed form.  Tr(D P), the
+    spectra of D and E1 and their norms are read from ``dc.pencil``; the
+    result is 0 when Tr(D P) >= -1e-9 * (1 + |D|) and infinite when
+    lambda_min(E1) <= 1e-12 * (1 + |E1|).  Returns the raw scalar s; the
+    caller owns the mapping to its own parameterization (for a hypothesis
+    C = eps*C0 with dc's unit system derived at C0, s plays eps^2).
     """
-    D = sym(D)
-    E0 = sym(E0)
-    if tol is None:
-        tol = 1e-9 * (1.0 + spectral_norm(D))
-    p_lt, _ = neg_projections(D)
-    tau = float(np.sum(D * p_lt))  # <= 0
-    if tau >= -tol:
+    pen = dc.pencil
+    tau = float(np.sum(pen.D * pen.bp))  # <= 0
+    if tau >= -1e-9 * (1.0 + pen.normD):
         return 0.0
-    lmin = float(np.min(np.linalg.eigvalsh(E0)))
-    if lmin <= 1e-12 * (1.0 + spectral_norm(E0)):
+    lmin = float(pen.eigE[0])
+    if lmin <= 1e-12 * (1.0 + pen.normE):
         return float("inf")
-    f0 = max(float(f0), 0.0)
+    f0 = max(float(dc.unit.f), 0.0)
     u = (-tau) * (math.sqrt(f0) + math.sqrt(f0 + lmin)) / lmin
     return u * u
 

@@ -69,18 +69,16 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=v)
 
 
-def neg_projections(
-    a: np.ndarray, zero_tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def neg_projections(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projections onto the negative and non-positive eigenspaces of ``a``.
 
     Returns ``(P_lt, P_le)`` where ``P_lt`` projects onto the span of
     eigenvectors with eigenvalue < -zero_tol and ``P_le`` onto the span with
-    eigenvalue <= zero_tol.  Always ``P_lt <= P_le`` in the Loewner order.
+    eigenvalue <= zero_tol, zero_tol = 1e-9 * (1 + ||a||_2).  Always
+    ``P_lt <= P_le`` in the Loewner order.
     """
     w, v = eig_sym(a)
-    if zero_tol is None:
-        zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
     vlt = v[:, w < -zero_tol]
     vle = v[:, w <= zero_tol]
     p_lt = vlt @ vlt.T
@@ -88,11 +86,11 @@ def neg_projections(
     return sym(p_lt), sym(p_le)
 
 
-def sqrt_psd(a: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Symmetric PSD square root; tiny negative eigenvalues are clipped."""
+def sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root; negative eigenvalues within
+    1e-9 * (1 + ||a||_2) of zero are clipped."""
     w, v = eig_sym(a)
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
     if w.size and float(w[-1]) < -tol:
         raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} < -{tol:.3e}")
     return sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from lqpersuasion import cli
-from lqpersuasion.demo import BENCH3_D, BENCH3_E, BENCH3_Q
+from lqpersuasion import cli, instance, neg_projections, programs
+from lqpersuasion.demo import BENCH3_D, BENCH3_E, BENCH3_Q, bench3_form, bench3_hypothesis
 from lqpersuasion.errors import NumericalFailure
 
 
@@ -94,6 +94,75 @@ def test_solve_output_is_byte_identical(tmp_path):
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
+
+
+def test_solve_derives_and_decomposes_d_once(tmp_path, monkeypatch):
+    # the instance is derived once, at its unit hypothesis; the programs, the
+    # default rho and the no-information threshold all read that system's
+    # record, which holds one eigendecomposition and one spectrum of D
+    inst_path = _bench_instance(tmp_path)
+    d = instance.derive_coefficients(bench3_form(), bench3_hypothesis(1.0)).D
+    derive = [0]
+    proj = [0]
+    spectra = [0]
+    derive_orig = instance.derive_coefficients
+    eigvalsh_orig = np.linalg.eigvalsh
+
+    def counting_derive(*args, **kwargs):
+        derive[0] += 1
+        return derive_orig(*args, **kwargs)
+
+    def counting_proj(a):
+        proj[0] += np.array_equal(a, d)
+        return neg_projections(a)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        spectra[0] += np.array_equal(a, d)
+        return eigvalsh_orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(instance, "derive_coefficients", counting_derive)
+    for module in (programs, instance):
+        if hasattr(module, "neg_projections"):
+            monkeypatch.setattr(module, "neg_projections", counting_proj)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rc = cli.main(["solve", "--instance", inst_path, "--out", str(tmp_path / "all.json")])
+    assert rc == 0
+    assert (derive[0], proj[0], spectra[0]) == (1, 1, 1)
+
+
+def test_solve_matches_one_step_sweep(tmp_path):
+    # solve at eps = 0.3 runs on the unit system scaled by 0.3, the same
+    # arithmetic as the sweep row at 0.3, so the shared columns agree exactly
+    inst_path = _bench_instance(tmp_path, eps=0.3)
+    out_json = tmp_path / "solve.json"
+    out_csv = tmp_path / "sweep.csv"
+    assert cli.main(["solve", "--instance", inst_path, "--rho", "1e-4",
+                     "--out", str(out_json)]) == 0
+    assert cli.main(["sweep", "--instance", inst_path, "--eps-lo", "0.3", "--steps", "1",
+                     "--rho", "1e-4", "--out", str(out_csv)]) == 0
+    res = {r["program"]: r for r in json.loads(out_json.read_text())["results"]}
+    header, line = out_csv.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert float(row["epsilon"]) == 0.3
+    assert res["UOP"]["value"] == float(row["val_uop"])
+    assert res["PP"]["value"] == float(row["val_pp"])
+    assert res["PP"]["rank"] == int(row["rank_pp"])
+
+
+def test_dump_json_matrix_text():
+    # a matrix is written a row per line with 17 significant digits; signed
+    # zeros and tiny values keep their text, and nan and +-inf are quoted
+    # (JSON has no literal for them) in a row that also holds finite values
+    a = np.array([[0.0, -0.0, 1e-300], [np.nan, 0.1, -np.inf], [np.inf, -2.5e17, 1e300]])
+    assert cli._dump_json({"m": a}) == (
+        '{\n'
+        '  "m": [\n'
+        '    [0, -0, 1e-300],\n'
+        '    ["nan", 0.10000000000000001, "-inf"],\n'
+        '    ["inf", -2.5e+17, 1.0000000000000001e+300]\n'
+        '  ]\n'
+        '}'
+    )
 
 
 def test_sweep_header_and_single_step(tmp_path):
@@ -240,11 +309,22 @@ def test_malformed_instance_exits_2(tmp_path, capsys, doc):
 
 def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
     inst = _bench_instance(tmp_path)
+    # at eps = 3, SPOP takes only its exact quadratic branch, and BP and UOP
+    # never run a penalized search: rho is checked before any program runs
+    inst3 = _bench_instance(tmp_path, eps=3.0, name="bench3.json")
     for argv in (
         ["sweep", "--instance", inst, "--eps-hi", "nan", "--steps", "3",
          "--out", str(tmp_path / "sweep.csv")],
         ["solve", "--instance", inst, "--program", "pp", "--rho", "nan",
          "--out", str(tmp_path / "pp.json")],
+        ["solve", "--instance", inst3, "--program", "bp", "--rho", "nan",
+         "--out", str(tmp_path / "bp.json")],
+        ["solve", "--instance", inst3, "--program", "spop", "--rho", "nan",
+         "--out", str(tmp_path / "spop.json")],
+        ["solve", "--instance", inst3, "--program", "uop", "--rho", "-1",
+         "--out", str(tmp_path / "uop.json")],
+        ["sweep", "--instance", inst, "--rho", "0", "--steps", "3",
+         "--out", str(tmp_path / "sweep0.csv")],
     ):
         rc = cli.main(argv)
         assert rc == 2, argv

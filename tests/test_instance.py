@@ -165,6 +165,11 @@ def test_scaled_homothety():
         assert ds.scale == s and ds.unit is dc and ds.pencil is dc.pencil
     twice = dc.scaled(0.5).scaled(3.0)
     assert twice.scale == 1.5 and twice.unit is dc
+    # at s = 0 the scaled system writes zeros as a derivation at C = 0 does,
+    # without the sign 0 * (negative) would give
+    zero = dc.scaled(0.0)
+    assert np.any(dc.E < 0.0)
+    assert not np.any(np.signbit(zero.E))
     for s in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter):
             dc.scaled(s)

@@ -341,7 +341,7 @@ def test_psd_d_forces_no_information(gauss3):
             __import__("lqpersuasion").QuadraticForm(n=3, Q=q, l=np.zeros(6), r=0.0),
             bench3_hypothesis(1.0),
         )
-        assert no_info_optimal(qf_dc.D)
+        assert no_info_optimal(qf_dc)
         bp = solve_bp(qf_dc)
         pp = solve_pp(qf_dc, 1e-7)
         pop = solve_pop(qf_dc, gauss3, 1e-7)
@@ -390,7 +390,7 @@ def test_signaling_profitable_extremes():
 
 
 def test_pessimistic_noinfo_threshold_bench(bench_dc):
-    s = pessimistic_noinfo_threshold(bench_dc.D, bench_dc.E, bench_dc.f)
+    s = pessimistic_noinfo_threshold(bench_dc)
     lmin = float(np.min(np.linalg.eigvalsh(bench_dc.E)))
     assert s == pytest.approx(43.0**2 / lmin, rel=1e-10)
     # sufficiency: scaling the hypothesis to the threshold radius makes the
@@ -400,8 +400,20 @@ def test_pessimistic_noinfo_threshold_bench(bench_dc):
 
 
 def test_pessimistic_noinfo_threshold_degenerate():
-    assert pessimistic_noinfo_threshold(np.eye(2), np.eye(2), 0.0) == 0.0
-    assert pessimistic_noinfo_threshold(-np.eye(2), np.diag([1.0, 0.0]), 0.0) == math.inf
+    from lqpersuasion import DerivedCoefficients
+
+    # D >= 0: revealing nothing is already optimal at every scale
+    dc_psd = DerivedCoefficients(
+        n=2, D=np.eye(2), E=np.eye(2), f=0.0, c=0.0,
+        lambda_bar=1.0, lambda_bar_2=1.0, t_bar=0.0,
+    )
+    assert pessimistic_noinfo_threshold(dc_psd) == 0.0
+    # singular E: no scale of the family makes the sufficient condition hold
+    dc_singular = DerivedCoefficients(
+        n=2, D=-np.eye(2), E=np.diag([1.0, 0.0]), f=0.0, c=0.0,
+        lambda_bar=1.0, lambda_bar_2=0.0, t_bar=1.0,
+    )
+    assert pessimistic_noinfo_threshold(dc_singular) == math.inf
 
 
 # --------------------------------------------------------------------------
