@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, instance as inst, programs
-from .errors import InputError, InvalidTolerance, NumericalError
+from .errors import InputError, InvalidParameter, InvalidTolerance, NumericalError
 
 PROGRAMS = ("bp", "pp", "uop", "pop", "spop")
 
@@ -281,6 +281,9 @@ def cmd_sweep(args) -> int:
     qf, hyp, prior, dc_base, ps, rho = _load(args)
     if args.steps < 1:
         raise InstanceFileError("--steps must be >= 1")
+    # checked before any row is solved, not by dc.scaled at the row it breaks
+    if not (0.0 <= args.eps_lo < math.inf and 0.0 <= args.eps_hi < math.inf):
+        raise InvalidParameter("--eps-lo and --eps-hi must be finite and nonnegative")
     if args.steps == 1:
         grid = [args.eps_lo]
     else:
@@ -296,17 +299,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_example(args) -> int:
+    if args.n < 1 or args.steps < 1:
+        raise InvalidParameter("--n and --steps must be >= 1")
+    if not (math.isfinite(args.eps_lo) and math.isfinite(args.eps_hi)):
+        raise InvalidParameter("--eps-lo and --eps-hi must be finite")
     if args.steps == 1:
         grid = [args.eps_lo]
     else:
         grid = list(np.linspace(args.eps_lo, args.eps_hi, args.steps))
-    if args.which == "oned":
-        triple = evaluator.thresholds_1d(args.k)
-        table = evaluator.oned_table
-        rows = [(e, table(args.k, float(e))) for e in grid]
-    else:
-        triple = evaluator.opening_thresholds(args.k, args.n)
-        rows = [(e, evaluator.opening_table(args.k, args.n, float(e))) for e in grid]
+    try:
+        if args.which == "oned":
+            triple = evaluator.thresholds_1d(args.k)
+            table = evaluator.oned_table
+            rows = [(e, table(args.k, float(e))) for e in grid]
+        else:
+            triple = evaluator.opening_thresholds(args.k, args.n)
+            rows = [(e, evaluator.opening_table(args.k, args.n, float(e))) for e in grid]
+        values = [*vars(triple).values(), *(v for _, r in rows for v in r.values())]
+    except OverflowError:
+        values = [math.inf]
+    # the inputs are finite here, so a non-finite value is an overflow
+    if not all(map(math.isfinite, values)):
+        raise InvalidParameter(
+            f"the closed forms overflow at --k {args.k}, --n {args.n}, "
+            f"--eps-lo {args.eps_lo}, --eps-hi {args.eps_hi}"
+        )
     cols = ("abp_ni", "abp_fi", "pp_ni", "pp_fi", "pop_ni", "pop_fi")
     lines = ["epsilon," + ",".join(cols)]
     for e, vals in rows:

@@ -153,8 +153,9 @@ class ThresholdTriple:
 
 
 def _check_regime(k: float) -> None:
-    if k <= 0.5 or abs(k - 1.0) < 1e-12:
-        raise OutOfRegime("closed forms require k > 1/2 and k != 1")
+    # written as a negation so that a NaN k is rejected too
+    if not 0.5 < k < math.inf or abs(k - 1.0) < 1e-12:
+        raise OutOfRegime("closed forms require a finite k > 1/2 and k != 1")
 
 
 def _beta_bar_kappa_gaussian() -> float:

@@ -33,7 +33,11 @@ that the returned value is within ``rho`` of the true minimum.
 PP, POP and SPOP's linear regime differ only in alpha, so they minimize over
 the same h of the same (D, E).  The programs solved on one
 ``DerivedCoefficients`` read its ``pencil`` record: one BP projection, one
-set of pencil eigenvalues and one oracle evaluation per distinct t.  A
+set of pencil eigenvalues, one oracle evaluation per distinct t and one
+eigensolve per distinct multiplier probed.  The record keeps an O(n)
+summary of each probe (the eigenvalues, the diagonal of E in their
+eigenbasis and, once computed, the slope of g), not its eigenvectors: an
+oracle call that accepts a probe of an earlier call solves it once more.  A
 homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
 is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
 system, and its searches minimize h_1(s) + alpha*eps*sqrt(f_1 + s) in unit
@@ -128,8 +132,10 @@ class _Pencil:
     the same pair: the symmetrized matrices, Tr E and, on first use, the
     spectra of D and E (one ``eigvalsh`` each) and the spectral norms read
     from them, the jumps of the supergradient (see ``_multiplier``), the
-    projection onto D's negative eigenspace (the BP optimum) and the oracle
-    values h(t) evaluated so far.
+    projection onto D's negative eigenspace (the BP optimum), the oracle
+    values h(t) evaluated so far and, in ``probes``, the O(n) summary
+    (``_Probe``) of every multiplier the oracle has probed, which the later
+    calls read instead of solving D + lam*E again.
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
@@ -144,6 +150,7 @@ class _Pencil:
         self.E = sym(E)
         self.trE = float(np.trace(self.E))
         self.evals: dict[float, HOracleResult] = {}
+        self.probes: dict[float, _Probe] = {}
         self._shifted: dict[float, _Pencil] = {}
 
     @functools.cached_property
@@ -202,45 +209,41 @@ class _Pencil:
 
 
 class _Probe:
-    """Spectral split of D + lam*E at one multiplier.
+    """O(n) summary of the spectral split of D + lam*E at one multiplier: the
+    eigenvalues ``w`` and the diagonal ``diag`` of E in their eigenbasis.
 
     ``g_lo``/``g_hi`` are the traces of E against the negative and the
     non-positive eigenspaces (the ends of the supergradient interval, shifted
-    by t); eigenvalues within ``ztol`` of zero count as zero.
+    by t); eigenvalues within ``ztol`` of zero count as zero.  ``slope`` is
+    g'(lam) once ``_multiplier`` has computed it, else None.  An entry holds
+    no eigenvectors (n^2 floats each): ``_Pencil.probes`` keeps one per
+    multiplier probed, and ``_multiplier`` drops the eigenvectors at its
+    next probe.
     """
 
-    def __init__(self, pen: _Pencil, lam: float):
+    __slots__ = ("lam", "w", "diag", "slope", "ztol", "g_lo", "g_hi")
+
+    def __init__(self, lam: float, w: np.ndarray, diag: np.ndarray):
         self.lam = lam
-        # raw eigh (no sign fixing) is fine here: only spectral projections
-        # are consumed, and those are sign-invariant
-        self.w, self.v = np.linalg.eigh(pen.D + lam * pen.E)
-        self.ev = pen.E @ self.v
-        self.diag = np.einsum("ij,ij->j", self.v, self.ev)  # v_j^T E v_j >= 0 up to rounding
+        self.w = w
+        self.diag = diag  # v_j^T E v_j >= 0 up to rounding
+        self.slope: float | None = None
         # the zero band is machine-precision-relative: only the genuinely
         # crossing eigenvalue should be treated as zero (a wide band would
         # leak into the duality gap)
-        self._classify(1e-13 * (1.0 + float(np.max(np.abs(self.w), initial=0.0))))
+        self._classify(1e-13 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
 
     def _classify(self, ztol: float) -> None:
         self.ztol = ztol
-        self.neg = self.w < -ztol
-        self.g_lo = float(np.sum(self.diag[self.neg]))
+        self.g_lo = float(np.sum(self.diag[self.w < -ztol]))
         self.g_hi = float(np.sum(self.diag[self.w <= ztol]))
 
     def widened(self, pen: _Pencil) -> "_Probe":
-        """The same eigenpairs with the zero band widened to absorb the
-        rounding of an eigenvalue that crosses zero at a jump; no eigensolve."""
+        """The same split with the zero band widened to absorb the rounding
+        of an eigenvalue that crosses zero at a jump; no eigensolve."""
         p = copy.copy(self)
         p._classify(max(self.ztol, 1e-10 * (1.0 + pen.normD + abs(self.lam) * pen.normE)))
         return p
-
-    def slope(self) -> float:
-        """g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0,
-        valid when no eigenvalue sits in the zero band."""
-        pos = ~self.neg
-        m = self.v[:, self.neg].T @ self.ev[:, pos]
-        gaps = self.w[self.neg][:, None] - self.w[pos][None, :]
-        return 2.0 * float(np.sum(m * m / gaps))
 
 
 # probes inside one segment (Newton steps, bisections and the step doublings
@@ -249,18 +252,61 @@ class _Probe:
 _MAX_STEPS = 100
 
 
-def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
-    """Dual multiplier of h(t), as the probe at which it is accepted.
+def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndarray]:
+    """Dual multiplier of h(t): the probe at which it is accepted and that
+    probe's eigenvectors.
 
     The supergradient of the dual at lam is [g_lo, g_hi] - t, where
     g(lam) = Tr(E P_neg(D + lam*E)).  g is nonincreasing in lam; it jumps
     only at the pencil eigenvalues, where an eigenvalue of D + lam*E crosses
-    zero, and is smooth between two of them with slope ``_Probe.slope`` (it
-    is constant there when D and E commute, decreasing in general).  A
-    binary search over the sorted jumps finds the jump or the open segment
-    that contains t; safeguarded Newton on g - t finishes inside the segment.
+    zero, and is smooth between two of them with slope
+    g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0
+    (zero when D and E commute).  A binary search over the sorted jumps finds
+    the jump or the open segment that contains t; safeguarded Newton on g - t
+    finishes inside the segment.
+
+    Every call on one pencil probes the same jumps and the same first
+    bisection of each segment, so each probe is read from ``pen.probes``
+    and only a multiplier probed for the first time costs an eigensolve.
+    The eigenvectors are never kept past the next probe; an entry from an
+    earlier call gets them back, for its slope or for the accepted primal,
+    from one eigensolve at its lam, whose input and so whose result is the
+    same.
     """
     trE = pen.trE
+    # the split of the latest multiplier solved: the eigenvectors are used
+    # (for the slope or the accepted primal) only right after the probe that
+    # solved them, so one split at a time bounds the call's memory
+    vecs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def split(lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, v, E v) of D + lam*E.  Raw eigh (no sign fixing) is fine: only
+        spectral projections are consumed, and those are sign-invariant."""
+        if lam not in vecs:
+            vecs.clear()
+            w, v = np.linalg.eigh(pen.D + lam * pen.E)
+            vecs[lam] = (w, v, pen.E @ v)
+        return vecs[lam]
+
+    def probe(lam: float) -> _Probe:
+        p = pen.probes.get(lam)
+        if p is None:
+            w, v, ev = split(lam)
+            p = pen.probes[lam] = _Probe(lam, w, np.einsum("ij,ij->j", v, ev))
+        return p
+
+    def slope(p: _Probe) -> float:
+        """g'(lam), valid when no eigenvalue sits in the zero band."""
+        if p.slope is None:
+            _, v, ev = split(p.lam)
+            neg = p.w < -p.ztol
+            m = v[:, neg].T @ ev[:, ~neg]
+            gaps = p.w[neg][:, None] - p.w[~neg][None, :]
+            p.slope = 2.0 * float(np.sum(m * m / gaps))
+        return p.slope
+
+    def done(p: _Probe) -> tuple[_Probe, np.ndarray]:
+        return p, split(p.lam)[1]
 
     def accepted(p: _Probe) -> bool:
         if p.g_lo <= t <= p.g_hi:
@@ -276,16 +322,16 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
     i, j = 0, jumps.size
     while i < j:
         k = (i + j) // 2
-        p = _Probe(pen, float(jumps[k]))
+        p = probe(float(jumps[k]))
         if accepted(p):
-            return p
+            return done(p)
         # t inside this jump, whose crossing eigenvalue rounding pushed out
         # of the zero band (the band is empty: g_lo == g_hi): the widened
-        # band recovers it from the same eigenpairs
+        # band recovers it from the same split
         if p.g_lo == p.g_hi:
             wide = p.widened(pen)
             if accepted(wide):
-                return wide
+                return done(wide)
         if p.g_lo > t:
             lo, i = p.lam, k + 1
         else:
@@ -311,9 +357,9 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
         step = hi - lo
         lam = bisect()
     for _ in range(_MAX_STEPS):
-        p = _Probe(pen, lam)
+        p = probe(lam)
         if accepted(p):
-            return p
+            return done(p)
         if p.g_lo > t:
             lo = lam
         else:
@@ -323,7 +369,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
             break
         nxt = None
         if p.g_lo == p.g_hi:  # no eigenvalue in the zero band: g is smooth here
-            s = p.slope()
+            s = slope(p)
             if s < 0.0:
                 nxt = lam - (p.g_lo - t) / s
                 # rtsafe safeguard: a Newton step must at least halve the
@@ -340,10 +386,10 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> _Probe:
         step = abs(nxt - lam)
         lam = nxt
     else:
-        return p  # budget spent: the duality-gap check rejects this probe
+        return done(p)  # budget spent: the duality-gap check rejects this probe
     # the bracket collapsed at float resolution, onto a jump whose crossing
     # eigenvalue rounding pushed out of the zero band: widen the band there
-    return _Probe(pen, 0.5 * (lo + hi)).widened(pen)
+    return done(probe(0.5 * (lo + hi)).widened(pen))
 
 
 def h_eq(
@@ -407,8 +453,8 @@ def h_eq(
             value += float(np.sum(wk[neg]))
         return HOracleResult(t=t, value=value, X=sym(x), lambda_dual=0.0, dual_value=value)
 
-    p = _multiplier(pen, t, gap_tol=0.25 * tol)
-    x, primal, dual = _build_primal(D, E, t, p.lam, p.w, p.v, p.ztol)
+    p, v = _multiplier(pen, t, gap_tol=0.25 * tol)
+    x, primal, dual = _build_primal(D, E, t, p.lam, p.w, v, p.ztol)
     if abs(primal - dual) > tol:
         raise OracleDiverged(
             f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
@@ -852,6 +898,12 @@ def sweep(
     program's incumbent set includes the argmins found by the stronger
     neighbors in the chain.
     """
+    if mc is not None:
+        # checked before the first row is solved, not by mc_true_cost after it
+        if qf is None or C0 is None or prior is None:
+            raise InvalidParameter("Monte-Carlo sweep needs qf, C0 and prior")
+        if int(mc["samples"]) < 1:
+            raise InvalidParameter("n_samples must be >= 1")
     rows: list[SweepRow] = []
     for eps in eps_grid:
         dc = dc_base.scaled(float(eps))
@@ -886,8 +938,6 @@ def sweep(
             rank_pp=pp.rank,
         )
         if mc is not None:
-            if qf is None or C0 is None or prior is None:
-                raise InvalidParameter("Monte-Carlo sweep needs qf, C0 and prior")
             from .evaluator import mc_true_cost  # local import avoids a cycle
 
             est = mc_true_cost(

@@ -268,6 +268,27 @@ def test_example_out_of_regime_exit_code(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--which", "oned", "--k", "nan"],
+        ["--which", "opening", "--k", "inf", "--n", "3"],
+        ["--which", "oned", "--eps-hi", "nan"],
+        ["--which", "opening", "--eps-lo=-inf"],
+        ["--which", "opening", "--k", "1e308", "--n", "3"],  # overflows (k-1)**2
+        ["--which", "oned", "--eps-hi", "1e200"],  # overflows eps**2
+        ["--which", "opening", "--n", "0"],
+        ["--which", "opening", "--steps", "0"],
+    ],
+)
+def test_example_bad_input_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "ex.csv"
+    rc = cli.main(["example", *args, "--out", str(out)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # error handling
 # --------------------------------------------------------------------------
@@ -329,6 +350,32 @@ def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
         rc = cli.main(argv)
         assert rc == 2, argv
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mc-samples", "0"],
+        ["--mc-samples", "-5"],
+        ["--eps-hi", "nan"],
+        ["--eps-hi", "-1"],
+    ],
+)
+def test_bad_sweep_input_solves_no_row(tmp_path, capsys, monkeypatch, args):
+    inst = _bench_instance(tmp_path)
+    rows = [0]
+    solve_uop = programs.solve_uop
+
+    def counting(*a, **kw):
+        rows[0] += 1
+        return solve_uop(*a, **kw)
+
+    monkeypatch.setattr(programs, "solve_uop", counting)
+    rc = cli.main(["sweep", "--instance", inst, "--steps", "3", *args,
+                   "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert rows[0] == 0
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

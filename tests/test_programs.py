@@ -132,6 +132,64 @@ def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
     assert calls[0] / len(qs) <= 16.0, calls[0] / len(qs)
 
 
+def _memo_pair(case):
+    rng = np.random.default_rng(37)
+    if case == "bench3":
+        dc = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+        return dc.D, dc.E
+    if case == "n30":
+        return random_sym(rng, 30), random_psd(rng, 30)
+    if case == "commuting":
+        ed = rng.uniform(0.2, 2.0, 8)
+        ed[::3] = 0.0
+        return np.diag(rng.normal(size=8)), np.diag(ed)
+    # rank-one E with D = 2E - I: every target lies inside the one true jump;
+    # at this u, rounding pushes its crossing eigenvalue out of the zero band,
+    # which the widened band recovers
+    u = np.random.default_rng(34).normal(size=100)
+    e = np.outer(u, u)
+    return 2.0 * e - np.eye(100), e
+
+
+@pytest.mark.parametrize("case", ["bench3", "n30", "commuting", "rank-one"])
+def test_h_eq_probe_memo_is_exact(monkeypatch, case):
+    # the calls on one pencil read the probes of the earlier calls from its
+    # memo; each result must be bitwise the one a fresh pencil computes
+    d, e = _memo_pair(case)
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    widened = _count_calls(monkeypatch, programs._Probe, "widened")
+    trE = float(np.trace(e))
+    qs = np.random.default_rng(38).permutation(np.linspace(0.05, 0.95, 10))
+    shared = programs._Pencil(d, e)
+    got = [h_eq(d, e, float(q) * trE, pencil=shared) for q in qs]
+    eigh[0] = 0
+    for q, g in zip(qs, got):
+        want = h_eq(d, e, float(q) * trE)
+        for a, b in ((g.value, want.value), (g.dual_value, want.dual_value),
+                     (g.lambda_dual, want.lambda_dual), (g.X, want.X)):
+            assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    # the shared calls did read entries of earlier calls: fewer multipliers
+    # than the fresh pencils eigensolved
+    assert len(shared.probes) < eigh[0], (len(shared.probes), eigh[0])
+    if case == "rank-one":
+        assert widened[0] > 0
+
+
+def test_programs_share_probes_on_one_record(monkeypatch):
+    # PP, POP and SPOP on one n=30 record probe the same pencil jumps and
+    # segment midpoints for every t, and the record solves each multiplier
+    # once (again only for an accepted probe of an earlier call).  Measured:
+    # 75 eigh calls, against 179 when each oracle call solved its own probes
+    qf = random_reduced_game(np.random.default_rng(34), 30)
+    dc = derive_coefficients(qf, hypothesis_wasserstein(0.5, 30))
+    ps = prior_stats(PriorSpec("gaussian", 30))
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    solve_pp(dc)
+    solve_pop(dc, ps)
+    solve_spop(dc, ps)
+    assert eigh[0] <= 100, eigh[0]
+
+
 def test_h_eq_convex_and_nonincreasing_then_flat():
     rng = np.random.default_rng(31)
     d = random_sym(rng, 4)
