@@ -23,7 +23,6 @@ from .instance import (
     EllipsoidalHypothesis,
     PriorSpec,
     QuadraticForm,
-    _gamma_ratio_half,
     derive_coefficients,
     prior_stats,
 )
@@ -190,7 +189,7 @@ def oned_table(k: float, eps: float) -> dict[str, float]:
     ps = prior_stats(PriorSpec("gaussian", 1))
     gap = abs(1.0 - k)
     ni_base = k * k
-    fi_base = (k - 1.0) ** 2
+    fi_base = gap * gap
     bb2 = ps.beta_bar**2
     bk = ps.beta_bar * ps.kappa
     return {
@@ -208,10 +207,6 @@ def oned_table(k: float, eps: float) -> dict[str, float]:
 # --------------------------------------------------------------------------
 
 
-def _e_norm_gaussian(n: int) -> float:
-    return math.sqrt(2.0) * _gamma_ratio_half(n)
-
-
 def opening_table(k: float, n: int, eps: float) -> dict[str, float]:
     """No-info/full-info values of the n-dimensional tracking example."""
     _check_regime(k)
@@ -220,10 +215,10 @@ def opening_table(k: float, n: int, eps: float) -> dict[str, float]:
     bb2 = ps.beta_bar**2
     bk = ps.beta_bar * ps.kappa
     ni_base = k * k * n
-    fi_base = (k - 1.0) ** 2 * n
+    fi_base = gap * gap * n
     return {
         "abp_ni": ni_base + eps * eps,
-        "abp_fi": fi_base + eps * eps + 2.0 * eps * gap * _e_norm_gaussian(n),
+        "abp_fi": fi_base + eps * eps + 2.0 * eps * gap * ps.E_norm_x,
         "pp_ni": ni_base + eps * eps,
         "pp_fi": fi_base + eps * eps + 2.0 * eps * gap * math.sqrt(n),
         "pop_ni": ni_base + (1.0 - bb2) * eps * eps,
@@ -238,10 +233,11 @@ def opening_thresholds(k: float, n: int) -> ThresholdTriple:
     (dimension-independent, since E|x_1| is).
     """
     _check_regime(k)
+    e_norm = prior_stats(PriorSpec("gaussian", n)).E_norm_x
     gap = abs(1.0 - k)
     num = (2.0 * k - 1.0)
     eps_minus = num * math.sqrt(n) / (2.0 * gap)
-    eps_star = num * n / (2.0 * gap * _e_norm_gaussian(n))
+    eps_star = num * n / (2.0 * gap * e_norm)
     eps_plus = eps_minus / _beta_bar_kappa_gaussian()
     return ThresholdTriple(eps_minus=eps_minus, eps_star=eps_star, eps_plus=eps_plus)
 
@@ -249,8 +245,9 @@ def opening_thresholds(k: float, n: int) -> ThresholdTriple:
 def opening_linear_best(k: float, n: int, eps: float) -> float:
     """Best value over linear (no- or full-information) policies:
     k^2 n + eps^2 + min(0, (1-2k) n + 2 eps |1-k| E||x||)."""
+    e_norm = prior_stats(PriorSpec("gaussian", n)).E_norm_x
     gap = abs(1.0 - k)
-    bracket = (1.0 - 2.0 * k) * n + 2.0 * eps * gap * _e_norm_gaussian(n)
+    bracket = (1.0 - 2.0 * k) * n + 2.0 * eps * gap * e_norm
     return k * k * n + eps * eps + min(0.0, bracket)
 
 

@@ -24,24 +24,29 @@ followed by safeguarded Newton steps on g(lam) = t with the exact slope.
 The primal optimum is an interpolation of the two projections, which yields
 a duality-gap certificate without any external SDP solver.
 
-The penalized programs then minimize j(t) = h(t) + alpha*sqrt(f+t) over the
-scalar t.  h is convex and nonincreasing on [0, t_bar], so on any interval
-[a, b] the bound  min j >= h(b) + alpha*sqrt(f+a)  holds; a best-first
-interval subdivision driven by that bound terminates with a certificate
-that the returned value is within ``rho`` of the true minimum.
+The penalized programs minimize j(t) = h(t) + psi(t) over the scalar t, with
+psi(t) = alpha*sqrt(f+t) for PP and POP and, for SPOP, the beta-maximized
+psi(t) = lb*max_b [(1-b^2) + b*k*sqrt(f+t)/lb], which is linear in t below
+t_check = 4*lb^2/k^2 - f and k*sqrt(f+t) above it, with equal slopes at
+t_check.  So every psi is concave and nondecreasing, and PP, POP and SPOP
+differ only in their weights (alpha, offset, lb): PP (1, c + lb, 0), POP
+(bb*k, c + (1-bb^2) lb, 0) and SPOP (k, c, lb).  h is convex and
+nonincreasing on [0, t_bar], so on any interval [a, b] the bound
+min j >= h(b) + psi(a) holds; a best-first interval subdivision driven by
+that bound terminates with a certificate that the returned value is within
+``rho`` of the true minimum.
 
-PP, POP and SPOP's linear regime differ only in alpha, so they minimize over
-the same h of the same (D, E).  The programs solved on one
-``DerivedCoefficients`` read its ``pencil`` record: one BP projection, one
-set of pencil eigenvalues, one oracle evaluation per distinct t and one
-eigensolve per distinct multiplier probed.  The record keeps an O(n)
-summary of each probe (the eigenvalues, the diagonal of E in their
-eigenbasis and, once computed, the slope of g), not its eigenvectors: an
-oracle call that accepts a probe of an earlier call solves it once more.  A
-homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
-is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
-system, and its searches minimize h_1(s) + alpha*eps*sqrt(f_1 + s) in unit
-coordinates s = t/eps^2, so that a whole sweep shares one record.
+The three programs so minimize over the same h of the same (D, E): the
+programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
+one BP projection, one set of pencil eigenvalues, one oracle evaluation per
+distinct t and one eigensolve per distinct multiplier probed.  The record
+keeps an O(n) summary of each probe (the eigenvalues, the diagonal of E in
+their eigenbasis and, once computed, the slope of g), not its
+eigenvectors: an oracle call that accepts a probe of an earlier call solves
+it once more.  A homothetic rescaling multiplies E, f and lambda_bar by
+eps^2, so its oracle is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads
+the record of the unit system, and its searches minimize h_1(s) + psi
+in unit coordinates s = t/eps^2, so that a whole sweep shares one record.
 """
 
 from __future__ import annotations
@@ -141,9 +146,7 @@ class _Pencil:
     system, and every homothetic rescaling of it reads the same record: with
     E scaled by e^2, h_e(t) = h(t/e^2) and the multiplier scales by 1/e^2,
     while values, dual values and X do not depend on e.  The structural
-    checks read their eigenvalues of D and E here too.  ``shifted(k)``
-    keeps the record of (D + k*E, E) per k, the pair of SPOP's quadratic
-    regime, which does not depend on the scale either."""
+    checks read their eigenvalues of D and E here too."""
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
         self.D = sym(D)
@@ -151,7 +154,6 @@ class _Pencil:
         self.trE = float(np.trace(self.E))
         self.evals: dict[float, HOracleResult] = {}
         self.probes: dict[float, _Probe] = {}
-        self._shifted: dict[float, _Pencil] = {}
 
     @functools.cached_property
     def eigD(self) -> np.ndarray:
@@ -189,12 +191,6 @@ class _Pencil:
         if r is None or abs(r.value - r.dual_value) > tol:
             r = self.evals[t] = h_eq(self.D, self.E, t, tol=tol, pencil=self)
         return r
-
-    def shifted(self, k: float) -> "_Pencil":
-        """The record of (D + k*E, E), built once per k."""
-        if k not in self._shifted:
-            self._shifted[k] = _Pencil(self.D + k * self.E, self.E)
-        return self._shifted[k]
 
     @functools.cached_property
     def jumps(self) -> np.ndarray:
@@ -472,21 +468,36 @@ def h_eq(
 _MAX_EVALS = 4000
 
 
-def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho: float):
-    """Certified minimization of h(t) + alpha*sqrt(f+t) over [t_lo, t_hi].
+def _penalty(w: float, lam_bar: float) -> Callable[[float], float]:
+    """The penalty psi as a function of q = sqrt(f + t): w*q when lam_bar is
+    zero (up to 1e-14 relative), else lam_bar*beta_max_value(w*q/lam_bar),
+    the maximum over b in [0, 1] of lam_bar*(1-b^2) + b*w*q."""
+    if lam_bar <= 1e-14 * (1.0 + abs(lam_bar)):
+        return lambda q: w * q
+    return lambda q: lam_bar * beta_max_value(w * q / lam_bar)
+
+
+def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, rho: float):
+    """Certified minimization of h(t) + psi(t) over [0, t_bar], where psi is
+    ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
 
     Returns (t_best, oracle_result_at_t_best, value_best, certified_rho).
-    Best-first interval subdivision: each interval [a, b] carries the lower
-    bound h(b) + alpha*sqrt(f+a) (h nonincreasing, the penalty increasing),
-    and subdivision stops once every remaining interval's bound is within
-    ``rho`` of the incumbent.
+    psi is concave and nondecreasing in t: alpha*sqrt(f+t) is, and with
+    lam_bar > 0 psi is linear with slope alpha^2/(4*lam_bar) up to
+    t_check = 4*lam_bar^2/alpha^2 - f and alpha*sqrt(f+t) beyond, whose slope
+    alpha/(2*sqrt(f+t)) starts at that same value and falls.  Best-first
+    interval subdivision: each interval [a, b] carries the lower bound
+    h(b) + psi(a) (h nonincreasing, psi nondecreasing), and subdivision
+    stops once every remaining interval's bound is within ``rho`` of the
+    incumbent.
 
     The search runs on ``dc.pencil``, the record of the unit system that
-    ``dc`` rescales by e = ``dc.scale``: with s = t/e^2 the objective is
-    h1(s) + alpha*e*sqrt(f1 + s), so the searches of every program at every
-    scale share their oracle evaluations.  The seed grid is sqrt-spaced over
-    the unit system's [0, t_bar], whatever t_lo is, so that it lands on the
-    same unit points at every scale.  The returned oracle result is the
+    ``dc`` rescales by e = ``dc.scale``: with s = t/e^2, sqrt(f + t) is
+    e*sqrt(f1 + s), so the objective is h1(s) + psi at q = sqrt(f1 + s) with
+    weight alpha*e, and the searches of every program at every scale share
+    their oracle evaluations.  The seed grid is sqrt-spaced over the unit
+    system's [0, t_bar], so that it lands on the same unit points at every
+    scale.  ``lam_bar`` is in dc's units.  The returned oracle result is the
     record's (its X does not depend on the scale); t_best is in dc's units.
     """
     if not rho > 0.0:
@@ -500,53 +511,52 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, t_lo: float, rho:
         # is the BP projection at t = 0
         value = float(np.sum(pen.D * pen.bp))
         res = HOracleResult(t=0.0, value=value, X=pen.bp, lambda_dual=0.0, dual_value=value)
-        return 0.0, res, value + alpha * math.sqrt(max(float(dc.f), 0.0)), 0.0
+        psi0 = _penalty(alpha, lam_bar)(math.sqrt(max(float(dc.f), 0.0)))
+        return 0.0, res, value + psi0, 0.0
 
-    trE = pen.trE
-    w = alpha * e
+    psi = _penalty(alpha * e, lam_bar)
 
     def h(sv: float) -> HOracleResult:
         return pen.h(sv, e2)
 
     f = max(float(dc.unit.f), 0.0)
-    s_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), trE)
-    s_lo = min(max(float(t_lo) / e2, 0.0), trE)
-    s_hi = max(s_bar, s_lo)
+    s_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), pen.trE)
+    # psi at every evaluated point, read by the interval bounds
+    psis: dict[float, float] = {}
 
     def j(sv: float) -> float:
-        return h(sv).value + w * math.sqrt(max(f + sv, 0.0))
+        p = psis[sv] = psi(math.sqrt(f + sv))
+        return h(sv).value + p
 
     def interval_lb(a: float, b: float) -> float:
         """Lower bound for j on [a, b] with both endpoints already evaluated.
 
-        Combines the monotonicity bound h(b) + w*sqrt(f+a) with the
-        convexity tangents h(s) >= h(s0) - lam_s0*(s - s0) at both endpoints
-        (the dual multiplier is a subgradient slope of -h); the tangent bound
-        is exact to second order near the penalized minimizer, which keeps
-        the subdivision from stalling on flat stretches.  Each tangent minorant
+        Combines the monotonicity bound h(b) + psi(a) with the convexity
+        tangents h(s) >= h(s0) - lam_s0*(s - s0) at both endpoints (the dual
+        multiplier is a subgradient slope of -h); the tangent bound is exact
+        to second order near the penalized minimizer, which keeps the
+        subdivision from stalling on flat stretches.  Each tangent minorant
         plus the penalty is concave in s, so its minimum over [a, b] is at an
         endpoint.
         """
         ra, rb = h(a), h(b)
-        lb = rb.value + w * math.sqrt(f + a)
+        pa, pb = psis[a], psis[b]
+        lb = rb.value + pa
         slack = 1e-9 * (1.0 + abs(ra.value) + abs(rb.value))
         for s0, r in ((b, rb), (a, ra)):
             lam = max(float(r.lambda_dual), 0.0)
             if s0 == a and lam <= 0.0:
                 continue  # a zero slope taken at the left endpoint is invalid
-
-            def tangent(sv: float) -> float:
-                return r.value - lam * (sv - s0) + w * math.sqrt(f + sv)
-
-            lb = max(lb, min(tangent(a), tangent(b)) - slack)
+            at_a = r.value - lam * (a - s0) + pa
+            at_b = r.value - lam * (b - s0) + pb
+            lb = max(lb, min(at_a, at_b) - slack)
         return lb
 
-    if s_hi - s_lo <= 1e-14 * (1.0 + s_hi):
-        return e2 * s_lo, h(s_lo), j(s_lo), 0.0
+    if s_bar <= 1e-14 * (1.0 + s_bar):
+        return 0.0, h(0.0), j(0.0), 0.0
 
     seeds = np.linspace(math.sqrt(f), math.sqrt(f + s_bar), 9)
-    grid = {min(max(float(q * q - f), 0.0), s_hi) for q in seeds}
-    ss = sorted({s_lo, s_hi, *(sv for sv in grid if sv > s_lo)})
+    ss = sorted({0.0, s_bar, *(min(max(float(q * q - f), 0.0), s_bar) for q in seeds)})
     vals = {sv: j(sv) for sv in ss}
     best_val = min(vals.values())
 
@@ -637,12 +647,29 @@ def default_rho(dc: DerivedCoefficients) -> float:
     return 1e-6 * (1.0 + abs(solve_bp(dc).value))
 
 
-def _penalized_objective(D, E, f, alpha, offset):
-    """Sigma -> Tr(D S) + offset + alpha*sqrt(f + Tr(E S))."""
+def _weights(
+    program: str, dc: DerivedCoefficients, kappa: float = 0.0, beta_bar: float = 0.0
+) -> tuple[float, float, float]:
+    """(alpha, offset, lam_bar) of PP, POP or SPOP: each minimizes
+    Tr(D S) + offset + psi(Tr(E S)), psi given by ``_penalty(alpha, lam_bar)``
+    at q = sqrt(f + Tr(E S))."""
+    if program == "PP":
+        return 1.0, dc.c + dc.lambda_bar, 0.0
+    if program == "POP":
+        return beta_bar * kappa, dc.c + (1.0 - beta_bar * beta_bar) * dc.lambda_bar, 0.0
+    return kappa, dc.c, dc.lambda_bar  # SPOP
+
+
+def _objective(
+    dc: DerivedCoefficients, alpha: float, offset: float, lam_bar: float
+) -> Callable[[np.ndarray], float]:
+    """Sigma -> Tr(D S) + offset + psi(Tr(E S))."""
+    psi = _penalty(alpha, lam_bar)
+    D, E, f = dc.D, dc.E, dc.f
 
     def obj(p):
         tp = float(np.sum(E * p))
-        return float(np.sum(D * p)) + offset + alpha * math.sqrt(max(f + tp, 0.0))
+        return float(np.sum(D * p)) + offset + psi(math.sqrt(max(f + tp, 0.0)))
 
     return obj
 
@@ -651,28 +678,41 @@ def solve_penalized(
     dc: DerivedCoefficients,
     alpha: float,
     offset: float,
-    t_lo: float,
     rho: float,
     program: str = "PEN",
+    lam_bar: float = 0.0,
 ) -> ProgramSolution:
-    """min Tr(D S) + offset + alpha*sqrt(f + Tr(E S)) s.t. Tr(E S) >= t_lo."""
-    t_best, res, val, certified = _minimize_penalized(dc, alpha, t_lo, rho)
+    """min Tr(D S) + offset + psi(Tr(E S)), psi given by ``_penalty(alpha,
+    lam_bar)`` at q = sqrt(f + Tr(E S)): alpha*sqrt(f + t) for lam_bar = 0,
+    else the beta-maximized penalty of SPOP (see ``_minimize_penalized``).
+
+    The projection is the best thresholding of the search's argmin or the
+    stationarity projection P_neg(D + psi'(t)*E) at its trace t, with
+    psi'(t) = alpha/(2*sqrt(f + t)) where psi is alpha*sqrt(f + t) and
+    alpha^2/(4*lam_bar) where it is linear.
+    """
+    t_best, res, val, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
     D, E, f = dc.D, dc.E, dc.f
-    obj = _penalized_objective(D, E, f, alpha, offset)
+    obj = _objective(dc, alpha, offset, lam_bar)
     proj = extract_projection(res.X, obj)
     # the stationarity projection of the smooth objective is the canonical
-    # minimal-rank solution; include it as a candidate when it is feasible
-    if alpha > 0.0 and f + t_best > 1e-300:
-        lam_star = alpha / (2.0 * math.sqrt(f + t_best))
+    # minimal-rank solution; include it as a candidate (scored like any other,
+    # so the value never rests on it)
+    q = math.sqrt(max(f + t_best, 0.0))
+    lam_star = None
+    if alpha * q < 2.0 * lam_bar:  # psi's linear part; never for lam_bar = 0
+        lam_star = alpha * alpha / (4.0 * lam_bar)
+    elif alpha > 0.0 and f + t_best > 1e-300:
+        lam_star = alpha / (2.0 * q)
+    if lam_star is not None:
         p_st, _ = neg_projections(D + lam_star * E)
-        if float(np.sum(E * p_st)) >= t_lo - 1e-9 * (1.0 + t_lo):
-            tie = 1e-11 * (1.0 + abs(val))
-            cur = obj(proj)
-            alt = obj(p_st)
-            if alt < cur - tie or (
-                alt <= cur + tie and _rank_projection(p_st) < _rank_projection(proj)
-            ):
-                proj = p_st
+        tie = 1e-11 * (1.0 + abs(val))
+        cur = obj(proj)
+        alt = obj(p_st)
+        if alt < cur - tie or (
+            alt <= cur + tie and _rank_projection(p_st) < _rank_projection(proj)
+        ):
+            proj = p_st
     value = min(val + offset, obj(proj))
     return ProgramSolution(
         program=program, Sigma=res.X, value=value,
@@ -684,9 +724,8 @@ def solve_pp(dc: DerivedCoefficients, rho: float | None = None) -> ProgramSoluti
     """Pessimistic program: alpha = 1, offset = c + lambda_bar."""
     if rho is None:
         rho = default_rho(dc)
-    return solve_penalized(
-        dc, alpha=1.0, offset=dc.c + dc.lambda_bar, t_lo=0.0, rho=rho, program="PP"
-    )
+    alpha, offset, _ = _weights("PP", dc)
+    return solve_penalized(dc, alpha, offset, rho, "PP")
 
 
 def solve_uop(dc: DerivedCoefficients) -> ProgramSolution:
@@ -698,15 +737,12 @@ def solve_uop(dc: DerivedCoefficients) -> ProgramSolution:
 def solve_pop(
     dc: DerivedCoefficients, ps: PriorStats, rho: float | None = None
 ) -> ProgramSolution:
-    """Projective optimistic program at the optimal fixed mixing weight."""
+    """Projective optimistic program at the optimal fixed mixing weight:
+    alpha = beta_bar*kappa, offset = c + (1 - beta_bar^2)*lambda_bar."""
     if rho is None:
         rho = default_rho(dc)
-    beta = ps.beta_bar
-    alpha = beta * ps.kappa
-    offset = dc.c + (1.0 - beta * beta) * dc.lambda_bar
-    return solve_penalized(
-        dc, alpha=alpha, offset=offset, t_lo=0.0, rho=rho, program="POP"
-    )
+    alpha, offset, _ = _weights("POP", dc, ps.kappa, ps.beta_bar)
+    return solve_penalized(dc, alpha, offset, rho, "POP")
 
 
 def beta_max_value(zeta: float) -> float:
@@ -718,73 +754,27 @@ def beta_max_value(zeta: float) -> float:
 
 def spop_objective(dc: DerivedCoefficients, kappa: float, sigma: np.ndarray) -> float:
     """The SPOP objective (inner beta-maximization in closed form) at Sigma."""
-    base = float(np.sum(dc.D * sym(sigma))) + dc.c
-    s = math.sqrt(max(dc.f + float(np.sum(dc.E * sym(sigma))), 0.0))
-    if dc.lambda_bar <= 1e-14 * (1.0 + abs(dc.lambda_bar)):
-        return base + kappa * s
-    zeta = kappa * s / dc.lambda_bar
-    return base + dc.lambda_bar * beta_max_value(zeta)
+    return _objective(dc, *_weights("SPOP", dc, kappa))(sym(sigma))
 
 
 def solve_spop(
     dc: DerivedCoefficients, ps: PriorStats, rho: float | None = None
 ) -> ProgramSolution:
-    """Strong projective optimistic program via its two-regime split.
+    """Strong projective optimistic program: one penalized search.
 
-    With zeta = kappa*sqrt(f + Tr(E S))/lambda_bar, the inner maximum over
-    beta is linear in zeta when zeta >= 2 and quadratic below; the split
-    trace t_check = 4*lambda_bar^2/kappa^2 - f separates the regimes.  The
-    linear regime is a penalized program with alpha = kappa restricted to
-    Tr(E S) >= t_check; the quadratic regime is the pure trace program on
-    D + kappa^2/(4*lambda_bar) E restricted to Tr(E S) <= t_check.
+    With the inner maximum over beta in closed form, the penalty is
+    psi(t) = lambda_bar*beta_max_value(kappa*sqrt(f + t)/lambda_bar): linear
+    in t, lambda_bar + kappa^2*(f + t)/(4*lambda_bar), below
+    t_check = 4*lambda_bar^2/kappa^2 - f and kappa*sqrt(f + t) above it,
+    whose slopes agree at t_check.  psi is so concave and nondecreasing, and
+    the search of PP and POP certifies its minimum with alpha = kappa,
+    offset = c.  kappa = 0 (psi = lambda_bar, the UOP value) and
+    lambda_bar = 0 (psi = kappa*sqrt(f + t)) are limits of the same psi.
     """
     if rho is None:
         rho = default_rho(dc)
-    kappa = ps.kappa
-    lb = dc.lambda_bar
-    if kappa <= 1e-14:
-        return replace(solve_uop(dc), program="SPOP")
-    pen = dc.pencil
-    if lb <= 1e-12 * (1.0 + pen.normD):
-        return solve_penalized(
-            dc, alpha=kappa, offset=dc.c, t_lo=0.0, rho=rho, program="SPOP"
-        )
-
-    # the quadratic regime's pair (D + kappa^2/(4*lambda_bar)*E, E) is the
-    # same at every scale: read its unit-scale record at s_check = t_check/e^2
-    e2 = dc.scale * dc.scale
-    trE = pen.trE
-    t_check = 4.0 * lb * lb / (kappa * kappa) - dc.f
-    s_check = t_check / e2
-    off_b = dc.c + lb + kappa * kappa * dc.f / (4.0 * lb)
-    candidates: list[tuple[float, np.ndarray, float]] = []  # (value, X, cert)
-
-    if s_check >= -1e-12 * (1.0 + trE):
-        chk = pen.shifted(kappa * kappa / (4.0 * dc.unit.lambda_bar))
-        p_lt = chk.bp
-        s_p = float(np.sum(chk.E * p_lt))
-        if s_p <= s_check + 1e-9 * (1.0 + abs(s_check)):
-            candidates.append((float(np.sum(chk.D * p_lt)) + off_b, p_lt, 0.0))
-        else:
-            res = chk.h(min(max(s_check, 0.0), trE), e2)
-            candidates.append((res.value + off_b, res.X, 0.0))
-
-    if s_check <= trE + 1e-9 * (1.0 + trE):
-        t_a, res_a, val_a, cert_a = _minimize_penalized(
-            dc, alpha=kappa, t_lo=max(t_check, 0.0), rho=rho
-        )
-        candidates.append((val_a + dc.c, res_a.X, cert_a))
-
-    if not candidates:
-        raise NumericalFailure("SPOP split produced no feasible branch")
-    value, x, cert = min(candidates, key=lambda it: it[0])
-
-    proj = extract_projection(x, lambda p: spop_objective(dc, kappa, p))
-    value = min(value, spop_objective(dc, kappa, proj))
-    return ProgramSolution(
-        program="SPOP", Sigma=x, value=value,
-        rank=_rank_projection(proj), rho=cert, projection=proj,
-    )
+    alpha, offset, lam_bar = _weights("SPOP", dc, ps.kappa)
+    return solve_penalized(dc, alpha, offset, rho, "SPOP", lam_bar=lam_bar)
 
 
 # --------------------------------------------------------------------------
@@ -922,10 +912,7 @@ def sweep(
         spop_arg = [spop.projection, pp.projection, pp.Sigma][
             int(np.argmin(spop_cands))
         ]
-        pop_obj = _penalized_objective(
-            dc.D, dc.E, dc.f, ps.beta_bar * ps.kappa,
-            dc.c + (1.0 - ps.beta_bar**2) * dc.lambda_bar,
-        )
+        pop_obj = _objective(dc, *_weights("POP", dc, ps.kappa, ps.beta_bar))
         val_pop = min(pop.value, pop_obj(spop_arg), pop_obj(pp.projection))
 
         row = SweepRow(

@@ -275,7 +275,7 @@ def test_example_out_of_regime_exit_code(capsys):
         ["--which", "opening", "--k", "inf", "--n", "3"],
         ["--which", "oned", "--eps-hi", "nan"],
         ["--which", "opening", "--eps-lo=-inf"],
-        ["--which", "opening", "--k", "1e308", "--n", "3"],  # overflows (k-1)**2
+        ["--which", "opening", "--k", "1e308", "--n", "3"],  # (k-1)^2 is inf
         ["--which", "oned", "--eps-hi", "1e200"],  # overflows eps**2
         ["--which", "opening", "--n", "0"],
         ["--which", "opening", "--steps", "0"],
@@ -330,8 +330,9 @@ def test_malformed_instance_exits_2(tmp_path, capsys, doc):
 
 def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
     inst = _bench_instance(tmp_path)
-    # at eps = 3, SPOP takes only its exact quadratic branch, and BP and UOP
-    # never run a penalized search: rho is checked before any program runs
+    # at eps = 3, SPOP's optimum lies in the linear part of its penalty, and
+    # BP and UOP never run a penalized search: rho is checked before any
+    # program runs
     inst3 = _bench_instance(tmp_path, eps=3.0, name="bench3.json")
     for argv in (
         ["sweep", "--instance", inst, "--eps-hi", "nan", "--steps", "3",

@@ -138,6 +138,13 @@ def test_regime_guards():
             oned_table(bad_k, 1.0)
         with pytest.raises(OutOfRegime):
             opening_thresholds(bad_k, 3)
+    # dimension 0 is a typed input error, and a huge k overflows to inf
+    with pytest.raises(InvalidParameter):
+        opening_thresholds(2.0, 0)
+    with pytest.raises(InvalidParameter):
+        opening_linear_best(2.0, 0, 1.0)
+    assert math.isinf(oned_table(1e308, 1.0)["pp_fi"])
+    assert math.isinf(opening_table(1e308, 3, 1.0)["pp_fi"])
 
 
 # --------------------------------------------------------------------------

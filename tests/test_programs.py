@@ -7,6 +7,7 @@ import scipy.linalg
 from conftest import random_psd, random_reduced_game, random_sym, trace_box_oracle
 from lqpersuasion import (
     PriorSpec,
+    PriorStats,
     beta_max_value,
     derive_coefficients,
     extract_projection,
@@ -259,19 +260,35 @@ def test_uop_is_bp_plus_lambda_bar(bench_dc):
     assert uop.rank == bp.rank
 
 
-def test_pp_matches_dense_scalar_grid(bench_dc):
-    for eps in (0.5, 1.0, 1.6, 2.2):
+def test_pp_matches_dense_scalar_grid(bench_dc, gauss3):
+    # PP and SPOP against one dense grid of h values.  SPOP's beta-maximized
+    # penalty psi is linear in t below t_check and kappa*sqrt(f + t) above,
+    # with equal slopes at t_check, so it is concave and nondecreasing: the
+    # property the certified search relies on.  t_check lies inside the grid
+    # for eps <= 2.2; at eps = 3 it lies beyond t_bar and SPOP's optimum is
+    # in the linear part of psi
+    kappa = gauss3.kappa
+    for eps in (0.5, 1.0, 1.6, 2.2, 3.0):
         dc = bench_dc.scaled(eps)
-        sol = solve_pp(dc, 1e-6)
         ts = np.linspace(0.0, dc.t_bar, 4001)
-        grid_best = min(
-            h_eq(dc.D, dc.E, float(t)).value + math.sqrt(dc.f + t) for t in ts
-        )
-        ref = grid_best + dc.c + dc.lambda_bar
+        hs = np.array([h_eq(dc.D, dc.E, float(t)).value for t in ts])
+        lb = dc.lambda_bar
+        t_check = 4.0 * lb * lb / (kappa * kappa) - dc.f
+        psi = np.array([lb * beta_max_value(kappa * math.sqrt(dc.f + t) / lb) for t in ts])
+        assert np.all(np.diff(psi) >= 0.0)
+        assert np.all(np.diff(psi, 2) <= 1e-12 * (1.0 + np.abs(psi[1:-1])))
+        assert (0.0 < t_check < dc.t_bar) == (eps <= 2.2)
+        pp_ref = min(hs + np.sqrt(dc.f + ts)) + dc.c + lb
+        spop_ref = min(hs + psi) + dc.c
         # the dense grid only provides an upper bound; the solver must sit
         # within its certificate below it
-        assert sol.value <= ref + 1e-9
-        assert sol.value >= ref - 2e-4  # grid resolution slack
+        pp, spop = solve_pp(dc, 1e-6), solve_spop(dc, gauss3, 1e-6)
+        for sol, ref in ((pp, pp_ref), (spop, spop_ref)):
+            assert sol.value <= ref + 1e-9, (eps, sol.program)
+            assert sol.value >= ref - 2e-4, (eps, sol.program)  # grid resolution slack
+    # eps = 3: the optimum is in the linear part of psi
+    assert spop.rank == 2
+    assert float(np.sum(dc.E * spop.projection)) < t_check
 
 
 def test_rho_refinement_is_consistent(bench_dc):
@@ -335,6 +352,21 @@ def test_spop_between_pop_and_pp(bench_dc, gauss3):
         assert spop.value <= pp.value + 1e-5
 
 
+def test_spop_without_kappa_is_uop(bench_dc):
+    # kappa = 0 makes SPOP's penalty the constant lambda_bar, the limit the
+    # search handles like any other: the BP projection at UOP's value
+    qf10 = random_reduced_game(np.random.default_rng(36), 10)
+    dc10 = derive_coefficients(qf10, hypothesis_wasserstein(0.5, 10))
+    assert dc10.f > 0.0
+    for dc in (bench_dc, dc10):
+        ps = PriorStats(family="gaussian", n=dc.n, E_abs_x1=0.0, E_norm_x=0.0,
+                        kappa=0.0, beta_bar=0.0, gamma_bar=2.0)
+        rho = 1e-6 * (1.0 + abs(solve_bp(dc).value))
+        sol = solve_spop(dc, ps, rho)
+        assert abs(sol.value - solve_uop(dc).value) <= rho
+        assert sol.rank == solve_bp(dc).rank
+
+
 def test_extract_projection_prefers_low_rank_on_ties():
     x = np.diag([1.0, 0.6, 0.0])
     p = extract_projection(x, lambda q: 0.0)  # constant objective: all tie
@@ -346,13 +378,12 @@ def test_extract_projection_prefers_low_rank_on_ties():
 def test_solve_penalized_rejects_bad_tolerance(bench_dc):
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidTolerance):
-            solve_penalized(bench_dc, alpha=1.0, offset=0.0, t_lo=0.0, rho=rho)
+            solve_penalized(bench_dc, alpha=1.0, offset=0.0, rho=rho)
 
 
 def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
     # PP, POP and SPOP minimize over the same h(t) of the same (D, E): each
-    # trace target is evaluated once and the pencil is decomposed once (plus
-    # once for SPOP's pure-trace branch on D + kappa^2/(4 lambda_bar) E)
+    # trace target is evaluated once and the pencil is decomposed once
     h_eq_orig, eigvals_orig = programs.h_eq, scipy.linalg.eigvals
     targets: list[tuple[int, float]] = []
     pencils = [0]
@@ -380,7 +411,7 @@ def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
         solve_pop(dc, ps, 1e-6)
         solve_spop(dc, ps, 1e-6)
         assert targets and len(set(targets)) == len(targets)
-        assert 1 <= pencils[0] <= 2
+        assert pencils[0] == 1
 
 
 # --------------------------------------------------------------------------
@@ -515,15 +546,16 @@ def _count_calls(monkeypatch, module, name):
 
 def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
     # every eps of a homothetic sweep reads the oracle of the unit-scale
-    # system, h_eps(t) = h_1(t/eps^2), and SPOP's quadratic regime reads one
-    # record of D + kappa^2/(4 lambda_bar) E, which does not depend on eps
+    # system, h_eps(t) = h_1(t/eps^2), and PP, POP and SPOP search it from
+    # the same sqrt-spaced unit seeds: one pencil eigensolve in all, and
+    # few oracle calls per eps
     heq = _count_calls(monkeypatch, programs, "h_eq")
     pencils = _count_calls(monkeypatch, scipy.linalg, "eigvals")
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
     rows = sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
     assert len(rows) == 200
-    assert heq[0] < 500
-    assert pencils[0] <= 3
+    assert heq[0] < 100
+    assert pencils[0] == 1
 
 
 def test_sweep_decomposes_d_once(monkeypatch, gauss3):
@@ -576,21 +608,16 @@ def test_scaled_programs_match_fresh_derivation(monkeypatch, case):
     for eps in (40.0, 2.5, 1.3, 0.088, 1e-3):
         fresh = derive_coefficients(qf, hypothesis_wasserstein(eps, n))
         scaled = base.scaled(eps)
-        # a search with a lower trace bound, as in SPOP's linear regime:
-        # bounds and the returned trace are in the caller's units
-        t_lo = 0.5 * fresh.t_bar
         reads.clear()
         got = [solve_pp(scaled, rho), solve_pop(scaled, ps, rho), solve_spop(scaled, ps, rho)]
-        t_s, res_s, val_s, _ = programs._minimize_penalized(scaled, 1.0, t_lo, rho)
+        # the search runs in unit coordinates and returns t in the caller's
+        t_s, res_s, _, _ = programs._minimize_penalized(scaled, 1.0, 0.0, rho)
         scaled_reads = list(reads)
         want = [solve_pp(fresh, rho), solve_pop(fresh, ps, rho), solve_spop(fresh, ps, rho)]
-        _, _, val_f, _ = programs._minimize_penalized(fresh, 1.0, t_lo, rho)
         for g, w in zip(got, want):
             assert abs(g.value - w.value) <= rho, (eps, g.program)
             assert g.rank == w.rank, (eps, g.program)
-        assert abs(val_s - val_f) <= rho, eps
-        assert t_s >= t_lo * (1.0 - 1e-12)
-        assert float(np.sum(scaled.E * res_s.X)) == pytest.approx(t_s, rel=1e-9, abs=1e-12)
+        assert t_s == scaled.scale * scaled.scale * res_s.t
         assert scaled_reads
         norm_e = norm(scaled.E)
         for d, res in scaled_reads:
