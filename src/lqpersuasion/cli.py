@@ -34,28 +34,67 @@ def _fmt(x: float) -> str:
 
 
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON text; a 2-D array is written a row per line."""
+    """Deterministic JSON text; a 2-D array is written a row per line.
+
+    An array that obj holds more than once is formatted once, and its text
+    is dropped at its last use: in a ``solve --program all`` record, BP and
+    UOP share one Sigma and projection.
+    """
+    uses: dict[int, int] = {}
+    _count_arrays(obj, uses)
+    return _dump(obj, indent, uses, {})
+
+
+def _count_arrays(obj, uses: dict[int, int]) -> None:
+    """Add to ``uses[id(a)]`` each reference to an array a that the dicts,
+    lists and tuples of obj hold."""
+    if isinstance(obj, np.ndarray):
+        uses[id(obj)] = uses.get(id(obj), 0) + 1
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _count_arrays(v, uses)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _count_arrays(v, uses)
+
+
+def _dump(obj, indent: int, uses: dict[int, int], texts: dict[int, tuple[int, str]]) -> str:
+    """``_dump_json`` of obj.  ``uses`` counts the references to each array
+    not yet written and ``texts`` keeps (indent, text) of each array written
+    that is still to be written again.  Every counted array is held by the
+    object being written, so no other object takes its id meanwhile."""
     pad = "  " * indent
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
         vals = obj.astype(float).tolist()
         if np.all(np.isfinite(obj)):  # one %-format for the whole row
             return "[" + ", ".join(["%.17g"] * len(vals)) % tuple(vals) + "]"
-        return "[" + ", ".join(map(_dump_json, vals)) + "]"
+        return "[" + ", ".join(_dump(v, 0, uses, texts) for v in vals) + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  {json.dumps(k)}: {_dump_json(v, indent + 1)}'
+            f'{pad}  {json.dumps(k)}: {_dump(v, indent + 1, uses, texts)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, np.ndarray):
+        key = id(obj)
+        hit = texts.pop(key, None)
+        if hit is not None and hit[0] == indent:
+            text = hit[1]
+        else:
+            text = _dump(list(obj), indent, uses, texts)
+        uses[key] = uses.get(key, 0) - 1  # an array no container holds counts 0
+        if uses[key] > 0:
+            texts[key] = (indent, text)
+        return text
+    if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
         flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj)
         if flat:
-            return "[" + ", ".join(_dump_json(v) for v in obj) + "]"
-        items = [f"{pad}  {_dump_json(v, indent + 1)}" for v in obj]
+            return "[" + ", ".join(_dump(v, 0, uses, texts) for v in obj) + "]"
+        items = [f"{pad}  {_dump(v, indent + 1, uses, texts)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

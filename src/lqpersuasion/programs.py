@@ -43,10 +43,12 @@ distinct t and one eigensolve per distinct multiplier probed.  The record
 keeps an O(n) summary of each probe (the eigenvalues, the diagonal of E in
 their eigenbasis and, once computed, the slope of g), not its
 eigenvectors: an oracle call that accepts a probe of an earlier call solves
-it once more.  A homothetic rescaling multiplies E, f and lambda_bar by
-eps^2, so its oracle is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads
-the record of the unit system, and its searches minimize h_1(s) + psi
-in unit coordinates s = t/eps^2, so that a whole sweep shares one record.
+it once more.  Each oracle result keeps the thresholding split of its X,
+which every program that rounds it reads.  A homothetic rescaling
+multiplies E, f and lambda_bar by eps^2, so its oracle is
+h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
+system, and its searches minimize h_1(s) + psi in unit coordinates
+s = t/eps^2, so that a whole sweep shares one record.
 """
 
 from __future__ import annotations
@@ -74,13 +76,25 @@ from .spectral import eig_sym, neg_projections, sym
 
 @dataclass
 class HOracleResult:
-    """One trace-constrained oracle call: primal X, dual multiplier, value."""
+    """One trace-constrained oracle call: primal X, dual multiplier, value.
+
+    ``split`` is the thresholding split of X that ``extract_projection``
+    cuts into candidate projections, from one eigendecomposition of X on
+    first use.  Every program and every scale whose search lands on a t of a
+    ``_Pencil`` record reads the same result there, so they share that
+    split; a t evaluated again at a tighter tolerance is a new result with
+    its own.
+    """
 
     t: float
     value: float
     X: np.ndarray
     lambda_dual: float
     dual_value: float = 0.0
+
+    @functools.cached_property
+    def split(self) -> tuple[np.ndarray, list[int]]:
+        return _thresholding_split(self.X)
 
 
 @dataclass
@@ -137,10 +151,12 @@ class _Pencil:
     the same pair: the symmetrized matrices, Tr E and, on first use, the
     spectra of D and E (one ``eigvalsh`` each) and the spectral norms read
     from them, the jumps of the supergradient (see ``_multiplier``), the
-    projection onto D's negative eigenspace (the BP optimum), the oracle
-    values h(t) evaluated so far and, in ``probes``, the O(n) summary
-    (``_Probe``) of every multiplier the oracle has probed, which the later
-    calls read instead of solving D + lam*E again.
+    projection onto D's negative eigenspace (the BP optimum) and the trace
+    t_bar it reaches, the seed grid of the penalized search, the oracle
+    values h(t) evaluated so far (each keeping its thresholding split, see
+    ``HOracleResult``) and, in ``probes``, the O(n) summary (``_Probe``) of
+    every multiplier the oracle has probed, which the later calls read
+    instead of solving D + lam*E again.
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
@@ -154,6 +170,7 @@ class _Pencil:
         self.trE = float(np.trace(self.E))
         self.evals: dict[float, HOracleResult] = {}
         self.probes: dict[float, _Probe] = {}
+        self._seeds: dict[float, tuple[float, ...]] = {}
 
     @functools.cached_property
     def eigD(self) -> np.ndarray:
@@ -177,6 +194,29 @@ class _Pencil:
     def bp(self) -> np.ndarray:
         """Projection onto the negative eigenspace of D."""
         return neg_projections(self.D)[0]
+
+    @functools.cached_property
+    def bp_result(self) -> HOracleResult:
+        """The BP projection as an oracle result at t = 0: the optimum of
+        every search at a scale where E vanishes."""
+        value = float(np.sum(self.D * self.bp))
+        return HOracleResult(t=0.0, value=value, X=self.bp, lambda_dual=0.0, dual_value=value)
+
+    @functools.cached_property
+    def t_bar(self) -> float:
+        """Tr(E P_BP), clamped to [0, Tr E]: the right end of every search."""
+        return min(max(float(np.sum(self.E * self.bp)), 0.0), self.trE)
+
+    def seeds(self, f: float) -> tuple[float, ...]:
+        """Sorted seed points of the penalized search at offset f >= 0: 0,
+        t_bar and nine points evenly spaced in sqrt(f + t) between them.
+        Computed once per f; every scale of a unit system reads its f."""
+        ss = self._seeds.get(f)
+        if ss is None:
+            q = np.linspace(math.sqrt(f), math.sqrt(f + self.t_bar), 9)
+            pts = (min(max(float(x * x - f), 0.0), self.t_bar) for x in q)
+            ss = self._seeds[f] = tuple(sorted({0.0, self.t_bar, *pts}))
+        return ss
 
     def h(self, t: float, e2: float = 1.0) -> HOracleResult:
         """``h_eq`` at trace target t for a reader of the pair (D, e2*E).
@@ -497,8 +537,11 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     weight alpha*e, and the searches of every program at every scale share
     their oracle evaluations.  The seed grid is sqrt-spaced over the unit
     system's [0, t_bar], so that it lands on the same unit points at every
-    scale.  ``lam_bar`` is in dc's units.  The returned oracle result is the
-    record's (its X does not depend on the scale); t_best is in dc's units.
+    scale; the record computes it once (``_Pencil.seeds``).  Each point is
+    read from the record once and its result kept, with its psi, for the
+    interval bounds and the return.  ``lam_bar`` is in dc's units.  The
+    returned oracle result is the record's (its X does not depend on the
+    scale); t_best is in dc's units.
     """
     if not rho > 0.0:
         raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
@@ -509,24 +552,21 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     if e2 * pen.trE <= 1e-13 * (1.0 + e2 * pen.normE):
         # E vanishes at this scale: the constraint is vacuous and the optimum
         # is the BP projection at t = 0
-        value = float(np.sum(pen.D * pen.bp))
-        res = HOracleResult(t=0.0, value=value, X=pen.bp, lambda_dual=0.0, dual_value=value)
+        res = pen.bp_result
         psi0 = _penalty(alpha, lam_bar)(math.sqrt(max(float(dc.f), 0.0)))
-        return 0.0, res, value + psi0, 0.0
+        return 0.0, res, res.value + psi0, 0.0
 
     psi = _penalty(alpha * e, lam_bar)
-
-    def h(sv: float) -> HOracleResult:
-        return pen.h(sv, e2)
-
     f = max(float(dc.unit.f), 0.0)
-    s_bar = min(max(float(np.sum(pen.E * pen.bp)), 0.0), pen.trE)
-    # psi at every evaluated point, read by the interval bounds
+    # the oracle result and psi at every evaluated point, read by the
+    # interval bounds and the return: each point is read from the record once
+    hs: dict[float, HOracleResult] = {}
     psis: dict[float, float] = {}
 
     def j(sv: float) -> float:
+        r = hs[sv] = pen.h(sv, e2)
         p = psis[sv] = psi(math.sqrt(f + sv))
-        return h(sv).value + p
+        return r.value + p
 
     def interval_lb(a: float, b: float) -> float:
         """Lower bound for j on [a, b] with both endpoints already evaluated.
@@ -539,7 +579,7 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
         plus the penalty is concave in s, so its minimum over [a, b] is at an
         endpoint.
         """
-        ra, rb = h(a), h(b)
+        ra, rb = hs[a], hs[b]
         pa, pb = psis[a], psis[b]
         lb = rb.value + pa
         slack = 1e-9 * (1.0 + abs(ra.value) + abs(rb.value))
@@ -552,11 +592,11 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
             lb = max(lb, min(at_a, at_b) - slack)
         return lb
 
-    if s_bar <= 1e-14 * (1.0 + s_bar):
-        return 0.0, h(0.0), j(0.0), 0.0
+    if pen.t_bar <= 1e-14 * (1.0 + pen.t_bar):
+        v0 = j(0.0)
+        return 0.0, hs[0.0], v0, 0.0
 
-    seeds = np.linspace(math.sqrt(f), math.sqrt(f + s_bar), 9)
-    ss = sorted({0.0, s_bar, *(min(max(float(q * q - f), 0.0), s_bar) for q in seeds)})
+    ss = pen.seeds(f)
     vals = {sv: j(sv) for sv in ss}
     best_val = min(vals.values())
 
@@ -590,7 +630,7 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     # tie-break toward the smallest trace (prefers revealing less)
     tie = 1e-12 * (1.0 + abs(best_val))
     s_best = min(sv for sv, v in vals.items() if v <= best_val + tie)
-    return e2 * s_best, h(s_best), vals[s_best], certified
+    return e2 * s_best, hs[s_best], vals[s_best], certified
 
 
 # --------------------------------------------------------------------------
@@ -598,15 +638,10 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
 # --------------------------------------------------------------------------
 
 
-def extract_projection(x: np.ndarray, objective: Callable[[np.ndarray], float]) -> np.ndarray:
-    """Best projection among the thresholdings of X's eigenvalues.
-
-    X (0 <= X <= I) is a convex combination of the nested projections
-    obtained by thresholding its spectrum at each distinct level; since all
-    program objectives are concave in Sigma, the best of those candidates
-    scores no worse than X.  Ties (within a tiny relative band) go to the
-    lower rank.
-    """
+def _thresholding_split(x: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(v, ks): the eigenvectors of X by descending eigenvalue, and the
+    ranks k, ascending, of the projections v[:, :k] v[:, :k]^T that threshold
+    X's spectrum at each distinct positive level (and k = 0)."""
     w, v = eig_sym(x)
     n = w.size
     ks = [0]
@@ -615,16 +650,30 @@ def extract_projection(x: np.ndarray, objective: Callable[[np.ndarray], float]) 
             break
         if i + 1 == n or w[i] - w[i + 1] > 1e-8 * (1.0 + abs(w[i])):
             ks.append(i + 1)
-    candidates = []
-    for k in ks:
-        vk = v[:, :k]
-        candidates.append(sym(vk @ vk.T))
+    return v, ks
+
+
+def extract_projection(
+    x: np.ndarray | HOracleResult, objective: Callable[[np.ndarray], float]
+) -> tuple[np.ndarray, float]:
+    """Best projection among the thresholdings of X's eigenvalues, and its
+    objective value.
+
+    X (0 <= X <= I) is a convex combination of the nested projections
+    obtained by thresholding its spectrum at each distinct level; since all
+    program objectives are concave in Sigma, the best of those candidates
+    scores no worse than X.  Ties (within a tiny relative band) go to the
+    lower rank.  Given an oracle result, X's eigenvectors are read from its
+    ``split``, so X is decomposed once however many programs round it.
+    """
+    v, ks = x.split if isinstance(x, HOracleResult) else _thresholding_split(x)
+    candidates = [sym(v[:, :k] @ v[:, :k].T) for k in ks]
     scores = [objective(p) for p in candidates]
     best = min(scores)
     tie = 1e-11 * (1.0 + abs(best))
     for p, s in zip(candidates, scores):  # ascending rank order
         if s <= best + tie:
-            return p
+            return p, s
 
 
 # --------------------------------------------------------------------------
@@ -689,12 +738,14 @@ def solve_penalized(
     The projection is the best thresholding of the search's argmin or the
     stationarity projection P_neg(D + psi'(t)*E) at its trace t, with
     psi'(t) = alpha/(2*sqrt(f + t)) where psi is alpha*sqrt(f + t) and
-    alpha^2/(4*lam_bar) where it is linear.
+    alpha^2/(4*lam_bar) where it is linear.  The thresholding split is read
+    from the search's oracle result, which the programs and scales that land
+    on the same t share, and each candidate is scored once.
     """
     t_best, res, val, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
     D, E, f = dc.D, dc.E, dc.f
     obj = _objective(dc, alpha, offset, lam_bar)
-    proj = extract_projection(res.X, obj)
+    proj, cur = extract_projection(res, obj)
     # the stationarity projection of the smooth objective is the canonical
     # minimal-rank solution; include it as a candidate (scored like any other,
     # so the value never rests on it)
@@ -707,13 +758,12 @@ def solve_penalized(
     if lam_star is not None:
         p_st, _ = neg_projections(D + lam_star * E)
         tie = 1e-11 * (1.0 + abs(val))
-        cur = obj(proj)
         alt = obj(p_st)
         if alt < cur - tie or (
             alt <= cur + tie and _rank_projection(p_st) < _rank_projection(proj)
         ):
-            proj = p_st
-    value = min(val + offset, obj(proj))
+            proj, cur = p_st, alt
+    value = min(val + offset, cur)
     return ProgramSolution(
         program=program, Sigma=res.X, value=value,
         rank=_rank_projection(proj), rho=max(certified, 0.0), projection=proj,

@@ -165,6 +165,15 @@ def test_dump_json_matrix_text():
     )
 
 
+def test_dump_json_shared_array_text():
+    # a record holding one array twice (as BP and UOP share their Sigma and
+    # projection) writes exactly the text of a record holding two equal copies
+    a = np.array([[0.25, -0.0, 1e-300], [np.nan, 1.0 / 3.0, -np.inf]])
+    shared = {"x": a, "ys": [{"y": a}, {"y": a}], "z": {"w": a}}
+    copies = {"x": a.copy(), "ys": [{"y": a.copy()}, {"y": a.copy()}], "z": {"w": a.copy()}}
+    assert cli._dump_json(shared) == cli._dump_json(copies)
+
+
 def test_sweep_header_and_single_step(tmp_path):
     inst = _bench_instance(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -199,6 +208,25 @@ def test_sweep_mc_columns_and_determinism(tmp_path):
     assert outs[0] == outs[1]
     header = outs[0].decode().splitlines()[0]
     assert header.endswith(",mc_true_mean,mc_true_stderr")
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_command_repeats_byte_identical(tmp_path, command):
+    # every cache a command fills (oracle values, probes, thresholding
+    # splits, seed grids) lives on the records of that command's instance, so
+    # a second run in the same process writes the same bytes
+    inst = _bench_instance(tmp_path)
+    if command == "sweep":
+        args = ["sweep", "--instance", inst, "--eps-lo", "0", "--eps-hi", "2.5",
+                "--steps", "20"]
+    else:
+        args = ["solve", "--instance", inst, "--program", "all"]
+    outs = []
+    for name in ("a.out", "b.out"):
+        out = tmp_path / name
+        assert cli.main([*args, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # --------------------------------------------------------------------------

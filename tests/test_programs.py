@@ -369,10 +369,12 @@ def test_spop_without_kappa_is_uop(bench_dc):
 
 def test_extract_projection_prefers_low_rank_on_ties():
     x = np.diag([1.0, 0.6, 0.0])
-    p = extract_projection(x, lambda q: 0.0)  # constant objective: all tie
+    p, s = extract_projection(x, lambda q: 0.0)  # constant objective: all tie
     assert np.allclose(p, np.zeros((3, 3)))
-    p2 = extract_projection(x, lambda q: -float(np.trace(q)))
+    assert s == 0.0
+    p2, s2 = extract_projection(x, lambda q: -float(np.trace(q)))
     assert np.allclose(p2, np.diag([1.0, 1.0, 0.0]))
+    assert s2 == pytest.approx(-2.0)
 
 
 def test_solve_penalized_rejects_bad_tolerance(bench_dc):
@@ -556,6 +558,60 @@ def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
     assert len(rows) == 200
     assert heq[0] < 100
     assert pencils[0] == 1
+
+
+def test_sweep_splits_each_oracle_result_once(monkeypatch, gauss3):
+    # the 600 roundings of the bench3 sweep land on a few oracle results of
+    # the unit record, and each result keeps its thresholding split: no X is
+    # decomposed twice (without the split on the result: 600 decompositions
+    # of 22 results)
+    seen: list[np.ndarray] = []  # held, so that no id is reused
+    orig = programs.eig_sym
+
+    def recording(a):
+        seen.append(a)
+        return orig(a)
+
+    monkeypatch.setattr(programs, "eig_sym", recording)
+    base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
+    assert len({id(a) for a in seen}) == len(seen)
+    assert len(seen) <= len(base.pencil.evals) + 1  # + the BP result at eps = 0
+
+
+def test_sweep_eigensolve_count(monkeypatch, gauss3):
+    # the 200-point bench3 sweep: one pencil record, one split per oracle
+    # result and per probe; 1355 eigh calls when every solve decomposed its X
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
+    assert eigh[0] < 1000
+
+
+def test_penalized_search_reads_each_point_once(monkeypatch):
+    # the search keeps the oracle result of every point it evaluates, so the
+    # interval bounds and the return read no point from the record again;
+    # the seed grid is the record's, the same object at every scale
+    reads: list[float] = []
+    h_orig = programs._Pencil.h
+
+    def recording_h(self, t, e2=1.0):
+        reads.append(t)
+        return h_orig(self, t, e2)
+
+    monkeypatch.setattr(programs._Pencil, "h", recording_h)
+    base = derive_coefficients(random_reduced_game(np.random.default_rng(5), 10),
+                               hypothesis_wasserstein(1.0, 10))
+    rho = 1e-6 * (1.0 + abs(solve_bp(base).value))
+    f = max(float(base.f), 0.0)
+    grids = []
+    for eps in (1.0, 0.5):
+        reads.clear()
+        programs._minimize_penalized(base.scaled(eps), 1.0, 0.0, rho)
+        assert len(reads) > len(base.pencil.seeds(f))  # the search subdivided
+        assert len(reads) == len(set(reads))
+        grids.append(base.pencil.seeds(f))
+    assert grids[0] is grids[1]
 
 
 def test_sweep_decomposes_d_once(monkeypatch, gauss3):
