@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import InvalidParameter, InvalidRadius, OutOfRegime
 from .innermax import worst_case_penalty_batch
@@ -251,12 +250,37 @@ def opening_linear_best(k: float, n: int, eps: float) -> float:
     return k * k * n + eps * eps + min(0.0, bracket)
 
 
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) for a half-integer a > 0.
+
+    With t_b = x^b e^-x / Gamma(b + 1) = Q(b + 1, x) - Q(b, x) > 0, Q(a, x) is
+    1 - (t_a + t_(a+1) + ...) for x < a, else t_(a-1) + t_(a-2) + ... + Q(r, x)
+    with Q(1/2, x) = erfc(sqrt(x)) or Q(1, x) = e^-x.  The terms of either sum
+    fall, so it stops once a bound on its rest is below 1e-17 of it: after
+    O(sqrt(x) + 1) terms, however large a is."""
+    if x <= 0.0:
+        return 1.0
+    up, r = x < a, a % 1.0 or 1.0
+    s, b = 0.0, a if up else a - 1.0
+    while up or b >= r:
+        tb = math.exp(b * math.log(x) - x - math.lgamma(b + 1.0))
+        s += tb
+        # the rest is at most t_b*x/(b+1-x) upward, t_b*b/(x-b+1) downward
+        if tb * (x if up else b) <= 1e-17 * s * (b + 1.0 - x if up else x - b + 1.0):
+            break
+        b += 1.0 if up else -1.0
+    else:
+        s += math.erfc(math.sqrt(x)) if r == 0.5 else math.exp(-x)
+    return 1.0 - s if up else s
+
+
 def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
     """Cost of the radius-threshold policy: reveal x fully iff ||x|| >= R.
 
     Value (1-2k) T2(R) + k^2 n + eps^2 + 2 eps |1-k| T1(R), with the chi(n)
     tail moments in closed form:
-    T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Gamma((n+m)/2, R^2/2) / Gamma(n/2).
+    T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Gamma((n+m)/2, R^2/2) / Gamma(n/2),
+    from ``_gamma_q``.
     """
     if R < 0.0:
         raise InvalidRadius("threshold radius must be nonnegative")
@@ -265,8 +289,8 @@ def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
     def tail_moment(m: int) -> float:
         a = (n + m) / 2.0
         return (
-            2.0 ** (m / 2.0) * float(gammaincc(a, R * R / 2.0))
-            * math.exp(gammaln(a) - gammaln(n / 2.0))
+            2.0 ** (m / 2.0) * _gamma_q(a, R * R / 2.0)
+            * math.exp(math.lgamma(a) - math.lgamma(n / 2.0))
         )
 
     t1, t2 = tail_moment(1), tail_moment(2)

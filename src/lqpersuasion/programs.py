@@ -61,12 +61,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InfeasibleTrace,
     InvalidParameter,
     InvalidTolerance,
+    NotPSD,
     NumericalFailure,
     OracleDiverged,
 )
@@ -149,10 +149,11 @@ def _build_primal(D, E, t, lam, w, v, ztol):
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
     the same pair: the symmetrized matrices, Tr E and, on first use, the
-    spectra of D and E (one ``eigvalsh`` each) and the spectral norms read
-    from them, the jumps of the supergradient (see ``_multiplier``), the
-    projection onto D's negative eigenspace (the BP optimum) and the trace
-    t_bar it reaches, the seed grid of the penalized search, the oracle
+    spectrum of D (one ``eigvalsh``), the split of E into range and kernel
+    (``e_split``), the spectral norms, the jumps of the supergradient (see
+    ``jumps`` and ``_multiplier``), the projection onto D's negative
+    eigenspace (the BP optimum) and the trace t_bar it reaches, the seed
+    grid of the penalized search, the oracle
     values h(t) evaluated so far (each keeping its thresholding split, see
     ``HOracleResult``) and, in ``probes``, the O(n) summary (``_Probe``) of
     every multiplier the oracle has probed, which the later calls read
@@ -178,9 +179,20 @@ class _Pencil:
         return np.linalg.eigvalsh(self.D)
 
     @functools.cached_property
+    def e_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(we, ve, ker, wk, uk): E = ve diag(we) ve^T (we ascending), the mask
+        of its kernel, we <= 1e-12*(1 + |E|), and D's block on that kernel,
+        V_K^T D V_K = uk diag(wk) uk^T with V_K = ve[:, ker].  The spectrum of
+        E, the jumps and the endpoint closed forms of ``h_eq`` read it."""
+        we, ve = np.linalg.eigh(self.E)
+        ker = we <= 1e-12 * (1.0 + float(np.max(np.abs(we), initial=0.0)))
+        wk, uk = np.linalg.eigh(sym(ve[:, ker].T @ self.D @ ve[:, ker]))
+        return we, ve, ker, wk, uk
+
+    @property
     def eigE(self) -> np.ndarray:
         """Eigenvalues of E, ascending."""
-        return np.linalg.eigvalsh(self.E)
+        return self.e_split[0]
 
     @functools.cached_property
     def normD(self) -> float:
@@ -209,11 +221,12 @@ class _Pencil:
 
     def seeds(self, f: float) -> tuple[float, ...]:
         """Sorted seed points of the penalized search at offset f >= 0: 0,
-        t_bar and nine points evenly spaced in sqrt(f + t) between them.
+        t_bar and the seven points that space sqrt(f + t) evenly between them.
         Computed once per f; every scale of a unit system reads its f."""
         ss = self._seeds.get(f)
         if ss is None:
-            q = np.linspace(math.sqrt(f), math.sqrt(f + self.t_bar), 9)
+            # interior points only: a squared end is a rounding residue of 0 or t_bar
+            q = np.linspace(math.sqrt(f), math.sqrt(f + self.t_bar), 9)[1:-1]
             pts = (min(max(float(x * x - f), 0.0), self.t_bar) for x in q)
             ss = self._seeds[f] = tuple(sorted({0.0, self.t_bar, *pts}))
         return ss
@@ -234,14 +247,31 @@ class _Pencil:
 
     @functools.cached_property
     def jumps(self) -> np.ndarray:
-        """Sorted real finite generalized eigenvalues of the pencil (D, -E):
-        the multipliers at which an eigenvalue of D + lam*E crosses zero."""
-        try:
-            mu = np.atleast_1d(scipy.linalg.eigvals(self.D, -self.E, check_finite=False))
-        except scipy.linalg.LinAlgError:
-            return np.empty(0)
-        real = np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * (1.0 + np.abs(mu.real)))
-        return np.unique(mu.real[real])
+        """Sorted multipliers lam at which an eigenvalue of D + lam*E crosses
+        zero (the finite eigenvalues of the pencil (D, -E)), from ``e_split``.
+
+        As E >= 0, in its eigenbasis (range R with eigenvalues Lam, kernel K)
+        they are -eig(M), M = Lam^-1/2 S Lam^-1/2 with S = D_RR - B diag(1/w) B^T
+        the Schur complement over the nonsingular part w of D_KK (B is D_RK
+        on w's eigenvectors), restricted to the orthogonal complement of
+        range(Lam^-1/2 D_RK Z0), Z0 the null space of D_KK.  A z in Z0 with D_RK z = 0 is a common null vector of
+        D and E (a singular pencil): its eigenvalue of D + lam*E is 0 at
+        every lam, so it gives no jump.
+        """
+        we, ve, ker, wk, uk = self.e_split
+        a = ve.T @ self.D @ ve  # D in E's eigenbasis
+        r = 1.0 / np.sqrt(we[~ker])
+        drk = a[np.ix_(~ker, ker)] @ uk
+        nz = np.abs(wk) > 1e-13 * (1.0 + self.normD)
+        m = r[:, None] * (a[np.ix_(~ker, ~ker)] - (drk[:, nz] / wk[nz]) @ drk[:, nz].T) * r
+        c = drk[:, ~nz]
+        if c.shape[1]:
+            # the rank of D_RK Z0 at the resolution of its Gram matrix
+            rank = int(np.sum(np.linalg.eigvalsh(c.T @ c) > 1e-12 * (1.0 + self.normD) ** 2))
+            g = r[:, None] * c
+            q = np.linalg.eigh(g @ g.T)[1][:, : r.size - rank]
+            m = q.T @ m @ q
+        return np.unique(-np.linalg.eigvalsh(sym(m)))
 
 
 class _Probe:
@@ -376,7 +406,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
     # t lies inside the smooth segment (lo, hi); at least one end is finite.
     # Bisection halves asinh(lam/scale): the arithmetic midpoint near the
     # natural multiplier scale |D|/|E|, the geometric one far beyond it, where
-    # a spurious jump from a numerically zero eigenvalue of E can sit
+    # the jumps of a nearly singular E or D_KK sit
     scale = pen.normD / pen.normE or 1.0
 
     def bisect() -> float:
@@ -443,11 +473,14 @@ def h_eq(
     eigenvalues of the pencil (D, -E) and jumps only at them.  The returned
     X interpolates the negative and non-positive eigenprojections at the
     accepted multiplier, and ``abs(value - dual_value) <= tol`` is checked
-    (``OracleDiverged`` otherwise).  ``pencil`` is the shared ``_Pencil`` of
-    (D, E), for callers that evaluate many t on the same pair.
+    (``OracleDiverged`` otherwise).  E must be positive semidefinite up to
+    1e-12*(1 + |E|) (``NotPSD`` otherwise).  ``pencil`` is the shared
+    ``_Pencil`` of (D, E), for callers that evaluate many t on the same pair.
     """
     pen = _Pencil(D, E) if pencil is None else pencil
     D, E, trE, normD, normE = pen.D, pen.E, pen.trE, pen.normD, pen.normE
+    if pen.eigE[0] < -1e-12 * (1.0 + normE):
+        raise NotPSD(f"E has eigenvalue {pen.eigE[0]:.3e}; the trace program needs E >= 0")
     # relative to Tr E, so that a target outside [0, Tr E] is rejected at
     # every scale of E; the floor keeps t = 0 feasible when E vanishes
     feas_tol = 1e-9 * max(abs(trE), 1e-13 * (1.0 + normE))
@@ -470,21 +503,17 @@ def h_eq(
         # at the trace endpoints the multiplier runs away, but the optimum is
         # closed-form: Tr(E X) = 0 forces X onto ker E, and Tr(E X) = Tr E
         # forces X = I on range E, leaving a free box minimization on ker E
-        we, ve = np.linalg.eigh(E)
-        kmask = we <= 1e-12 * (1.0 + normE)
+        _, ve, ker, wk, uk = pen.e_split
         x = np.zeros_like(D)
         value = 0.0
         if t >= trE - snap:
-            vr = ve[:, ~kmask]
+            vr = ve[:, ~ker]
             pr = vr @ vr.T
             x += pr
             value += float(np.sum(D * pr))
-        vk = ve[:, kmask]
-        if vk.shape[1]:
-            dk = sym(vk.T @ D @ vk)
-            wk, uk = np.linalg.eigh(dk)
+        if ker.any():
             neg = wk < -1e-13 * (1.0 + normD)
-            un = vk @ uk[:, neg]
+            un = ve[:, ker] @ uk[:, neg]
             x += un @ un.T
             value += float(np.sum(wk[neg]))
         return HOracleResult(t=t, value=value, X=sym(x), lambda_dual=0.0, dual_value=value)

@@ -62,10 +62,9 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0.0:
-            v[:, j] = -v[:, j]
+    if v.size:
+        top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v = v * np.where(top < 0.0, -1.0, 1.0)  # exact: negation or identity
     return EigenDecomposition(values=w, vectors=v)
 
 

@@ -451,3 +451,25 @@ def test_module_entry_point_solve_stdout(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"][0]["value"] == pytest.approx(167.0, abs=1e-9)
+
+
+def test_runs_without_scipy(tmp_path):
+    # the library needs numpy alone: with scipy unimportable, the package
+    # imports, solves every program on bench3 and writes the opening example
+    inst = _bench_instance(tmp_path)
+    solved, opening = tmp_path / "solve.json", tmp_path / "opening.csv"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from lqpersuasion import cli\n"
+        f"sys.exit(cli.main(['solve', '--instance', {inst!r}, '--program', 'all',\n"
+        f"                   '--out', {str(solved)!r}])\n"
+        "         or cli.main(['example', '--which', 'opening', '--k', '2', '--n', '3',\n"
+        f"                      '--out', {str(opening)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(solved.read_text())["results"]) == 5
+    assert (tmp_path / "opening_radius.csv").is_file()

@@ -29,7 +29,7 @@ from lqpersuasion import (
 )
 from lqpersuasion import instance, programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
-from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance
+from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance, NotPSD
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +144,11 @@ def _memo_pair(case):
         ed = rng.uniform(0.2, 2.0, 8)
         ed[::3] = 0.0
         return np.diag(rng.normal(size=8)), np.diag(ed)
-    # rank-one E with D = 2E - I: every target lies inside the one true jump;
-    # at this u, rounding pushes its crossing eigenvalue out of the zero band,
-    # which the widened band recovers
-    u = np.random.default_rng(34).normal(size=100)
+    # rank-one E with D = 2E - I: every target lies inside the one true jump.
+    # At |u|^2 ~ 1e4 the entries of D + lam*E cancel at the jump with a
+    # rounding error beyond the zero band, which pushes the crossing
+    # eigenvalue out of it; the widened band recovers it
+    u = 10.0 * np.random.default_rng(34).normal(size=100)
     e = np.outer(u, u)
     return 2.0 * e - np.eye(100), e
 
@@ -189,6 +190,17 @@ def test_programs_share_probes_on_one_record(monkeypatch):
     solve_pop(dc, ps)
     solve_spop(dc, ps)
     assert eigh[0] <= 100, eigh[0]
+
+
+def test_seed_grid_is_ends_and_seven_interior_points():
+    # 0, t_bar and the seven interior points evenly spaced in sqrt(f + t):
+    # squaring sqrt(f) back and subtracting f leaves a rounding residue
+    # (3.6e-12 here), which must not become a seed beside 0
+    qf = random_reduced_game(np.random.default_rng(5), 10)
+    dc = derive_coefficients(qf, hypothesis_wasserstein(1.0, 10))
+    pen = dc.pencil
+    q = np.linspace(math.sqrt(dc.f), math.sqrt(dc.f + pen.t_bar), 9)
+    assert pen.seeds(dc.f) == (0.0, *(float(x * x - dc.f) for x in q[1:-1]), pen.t_bar)
 
 
 def test_h_eq_convex_and_nonincreasing_then_flat():
@@ -239,6 +251,85 @@ def test_h_eq_zero_e():
     d = np.diag([-2.0, 3.0])
     res = h_eq(d, np.zeros((2, 2)), 0.0)
     assert res.value == pytest.approx(-2.0)
+
+
+def test_h_eq_rejects_indefinite_e():
+    # the pencil reduction, the endpoint closed forms and the [0, Tr E]
+    # feasibility test all assume E >= 0.  Here the minimum is -1.5, at
+    # X = diag(1/2, 1); unchecked, the call returned -1 at an X with
+    # Tr(E X) = -1
+    with pytest.raises(NotPSD):
+        h_eq(-np.eye(2), np.diag([2.0, -1.0]), 0.0)
+
+
+def _qz_jumps(d, e):
+    """Real finite eigenvalues of the pencil (D, -E) by scipy's nonsymmetric
+    QZ, the independent reference for ``_Pencil.jumps``."""
+    mu = scipy.linalg.eigvals(d, -e)
+    real = np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * (1.0 + np.abs(mu.real)))
+    return mu.real[real]
+
+
+def _rotated(rng, d, ed):
+    """(Q D Q^T, Q diag(ed) Q^T) for a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.normal(size=d.shape))
+    return q @ d @ q.T, (q * ed) @ q.T
+
+
+def _regular_pencils(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        yield random_sym(rng, n), random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+    for n in (5, 30):  # rank-one E
+        u = rng.normal(size=n)
+        yield random_sym(rng, n), np.outer(u, u)
+        yield 2.0 * np.outer(u, u) - np.eye(n), np.outer(u, u)
+    for n in (3, 7, 12):  # commuting, E singular on every third coordinate
+        ed = rng.uniform(0.2, 2.0, n)
+        ed[::3] = 0.0
+        yield np.diag(rng.normal(size=n)), np.diag(ed)
+    for n, r in ((4, 2), (8, 3), (12, 9)):
+        # D's block on E's kernel (the last n - r coordinates) is singular
+        d = random_sym(rng, n)
+        w, u = np.linalg.eigh(d[r:, r:])
+        w[0] = 0.0
+        d[r:, r:] = (u * w) @ u.T
+        yield _rotated(rng, d, np.r_[rng.uniform(0.2, 2.0, r), np.zeros(n - r)])
+
+
+def test_pencil_jumps_match_qz():
+    # every jump is a QZ eigenvalue, and every QZ eigenvalue of moderate size
+    # is a jump.  QZ reports the infinite eigenvalues of a singular E as
+    # finite ones of order 1/eps, and of order 1/sqrt(eps) where D's block on
+    # E's kernel is singular too (about 1e8 here); the cut excludes them
+    rng = np.random.default_rng(39)
+    for d, e in _regular_pencils(rng):
+        pen = programs._Pencil(d, e)
+        ref = _qz_jumps(pen.D, pen.E)
+        for lam in pen.jumps:
+            assert np.min(np.abs(ref - lam)) <= 1e-8 * (1.0 + abs(lam)), (lam, ref)
+        for mu in ref[np.abs(ref) < 1e6 * pen.normD / pen.normE]:
+            assert np.min(np.abs(pen.jumps - mu), initial=np.inf) <= 1e-8 * (1.0 + abs(mu))
+
+
+def test_singular_pencil_jumps_are_those_of_its_regular_part():
+    # a common null vector of D and E contributes an eigenvalue of D + lam*E
+    # that is 0 at every lam: it gives no jump (QZ returns an arbitrary
+    # number for it), and h is that of the pencil without it
+    rng = np.random.default_rng(40)
+    for n, r in ((3, 1), (6, 3), (10, 7)):
+        d = random_sym(rng, n)
+        d[:, -1] = d[-1, :] = 0.0
+        ed = np.r_[rng.uniform(0.2, 2.0, r), np.zeros(n - r)]
+        dq, eq = _rotated(rng, d, ed)
+        want = np.sort(_qz_jumps(d[:-1, :-1], np.diag(ed[:-1])))
+        got = programs._Pencil(dq, eq).jumps
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+        for q in (0.0, 0.3, 0.7, 1.0):
+            t = q * float(ed.sum())
+            ref = h_eq(d[:-1, :-1], np.diag(ed[:-1]), t).value
+            assert h_eq(dq, eq, t).value == pytest.approx(ref, abs=1e-8 * (1.0 + abs(ref)))
 
 
 # --------------------------------------------------------------------------
@@ -385,21 +476,17 @@ def test_solve_penalized_rejects_bad_tolerance(bench_dc):
 
 def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
     # PP, POP and SPOP minimize over the same h(t) of the same (D, E): each
-    # trace target is evaluated once and the pencil is decomposed once
-    h_eq_orig, eigvals_orig = programs.h_eq, scipy.linalg.eigvals
+    # trace target is evaluated once and E, whose split gives the pencil
+    # jumps and the endpoint closed forms, is decomposed once
+    h_eq_orig = programs.h_eq
     targets: list[tuple[int, float]] = []
-    pencils = [0]
 
     def counting_h_eq(D, E, t, *args, **kwargs):
         targets.append((hash(np.asarray(D).tobytes()), float(t)))
         return h_eq_orig(D, E, t, *args, **kwargs)
 
-    def counting_eigvals(*args, **kwargs):
-        pencils[0] += 1
-        return eigvals_orig(*args, **kwargs)
-
     monkeypatch.setattr(programs, "h_eq", counting_h_eq)
-    monkeypatch.setattr(scipy.linalg, "eigvals", counting_eigvals)
+    eighs = _record_eigh_inputs(monkeypatch)
     qf10 = random_reduced_game(np.random.default_rng(36), 10)
     cases = (
         (derive_coefficients(bench3_form(), bench3_hypothesis(1.3)), gauss3),
@@ -408,12 +495,12 @@ def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
     )
     for dc, ps in cases:
         targets.clear()
-        pencils[0] = 0
+        eighs.clear()
         solve_pp(dc, 1e-6)
         solve_pop(dc, ps, 1e-6)
         solve_spop(dc, ps, 1e-6)
         assert targets and len(set(targets)) == len(targets)
-        assert pencils[0] == 1
+        assert eighs.count(dc.pencil.E.tobytes()) == 1
 
 
 # --------------------------------------------------------------------------
@@ -546,18 +633,31 @@ def _count_calls(monkeypatch, module, name):
     return count
 
 
+def _record_eigh_inputs(monkeypatch) -> list[bytes]:
+    """The bytes of every matrix passed to ``np.linalg.eigh``, in call order."""
+    orig = np.linalg.eigh
+    seen: list[bytes] = []
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).tobytes())
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
 def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
     # every eps of a homothetic sweep reads the oracle of the unit-scale
     # system, h_eps(t) = h_1(t/eps^2), and PP, POP and SPOP search it from
-    # the same sqrt-spaced unit seeds: one pencil eigensolve in all, and
-    # few oracle calls per eps
+    # the same sqrt-spaced unit seeds: one split of E (and so one set of
+    # pencil jumps) in all, and few oracle calls per eps
     heq = _count_calls(monkeypatch, programs, "h_eq")
-    pencils = _count_calls(monkeypatch, scipy.linalg, "eigvals")
+    eighs = _record_eigh_inputs(monkeypatch)
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
     rows = sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
     assert len(rows) == 200
     assert heq[0] < 100
-    assert pencils[0] == 1
+    assert eighs.count(base.pencil.E.tobytes()) == 1
 
 
 def test_sweep_splits_each_oracle_result_once(monkeypatch, gauss3):
