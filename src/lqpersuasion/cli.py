@@ -346,14 +346,11 @@ def cmd_example(args) -> int:
         grid = [args.eps_lo]
     else:
         grid = list(np.linspace(args.eps_lo, args.eps_hi, args.steps))
+    # the scalar game is the tracking example at n = 1
+    n = 1 if args.which == "oned" else args.n
     try:
-        if args.which == "oned":
-            triple = evaluator.thresholds_1d(args.k)
-            table = evaluator.oned_table
-            rows = [(e, table(args.k, float(e))) for e in grid]
-        else:
-            triple = evaluator.opening_thresholds(args.k, args.n)
-            rows = [(e, evaluator.opening_table(args.k, args.n, float(e))) for e in grid]
+        triple = evaluator.opening_thresholds(args.k, n)
+        rows = [(e, evaluator.opening_table(args.k, n, float(e))) for e in grid]
         values = [*vars(triple).values(), *(v for _, r in rows for v in r.values())]
     except OverflowError:
         values = [math.inf]

@@ -22,7 +22,8 @@ from .instance import (
     EllipsoidalHypothesis,
     PriorSpec,
     QuadraticForm,
-    derive_coefficients,
+    _coefficient_terms,
+    _gamma_ratio_half,
     prior_stats,
 )
 from .spectral import sym
@@ -101,22 +102,19 @@ def mc_true_cost(
     credible-mean deviation, estimated by Monte Carlo.
 
     The Bayesian part Tr(D P) + c is exact; the adversarial penalty is the
-    sample mean of the exact inner maximization at v(P x_i).  Deterministic
-    for fixed (seed, n_samples) regardless of ``n_workers``.
+    sample mean of the exact inner maximization at v = x P a - f_vec (see
+    ``_coefficient_terms``).  Deterministic for fixed (seed, n_samples)
+    regardless of ``n_workers``.
     """
     if n_samples < 1:
         raise InvalidParameter("n_samples must be >= 1")
-    C = np.asarray(C, dtype=float)
     P = sym(np.asarray(P, dtype=float))
-    dc = derive_coefficients(qf, EllipsoidalHypothesis(C))
-    qm = sym(C.T @ qf.q22 @ C)
-    m = qf.q21 + qf.q22
-    base_vec = qf.q21 @ qf.l1 + qf.q22 @ qf.l2
+    d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
+    pa = P @ a
 
     def penalties(start: int, count: int) -> np.ndarray:
         x = prior_samples(prior, seed, start, count)
-        v_rows = (x @ P @ m.T - base_vec) @ C
-        return worst_case_penalty_batch(qm, v_rows)
+        return worst_case_penalty_batch(qm, x @ pa - fvec)
 
     if n_workers <= 1:
         pen = penalties(0, n_samples)
@@ -132,7 +130,7 @@ def mc_true_cost(
         stderr = float(np.std(pen, ddof=1) / math.sqrt(n_samples))
     else:
         stderr = 0.0
-    value = float(np.sum(dc.D * P)) + dc.c + mean_pen
+    value = float(np.sum(d * P)) + c + mean_pen
     return McEstimate(mean=value, stderr=stderr, n_samples=int(n_samples), seed=int(seed))
 
 
@@ -156,49 +154,16 @@ def _check_regime(k: float) -> None:
         raise OutOfRegime("closed forms require a finite k > 1/2 and k != 1")
 
 
-def _beta_bar_kappa_gaussian() -> float:
-    ps = prior_stats(PriorSpec("gaussian", 1))
-    return ps.beta_bar * ps.kappa  # = 2/(4+pi)
-
-
 def thresholds_1d(k: float) -> ThresholdTriple:
-    """Crossover radii of the scalar tracking game under a Gaussian prior.
-
-    Each threshold equates the no-information and full-information values of
-    its program: eps_minus for the pessimistic bound, eps_star for the true
-    cost, eps_plus for the projective optimistic bound.
-    """
-    _check_regime(k)
-    gap = abs(1.0 - k)
-    num = 2.0 * k - 1.0
-    eps_minus = num / (2.0 * gap)
-    eps_star = num / (2.0 * math.sqrt(2.0 / math.pi) * gap)
-    eps_plus = num / (2.0 * _beta_bar_kappa_gaussian() * gap)
-    return ThresholdTriple(eps_minus=eps_minus, eps_star=eps_star, eps_plus=eps_plus)
+    """Crossover radii of the scalar tracking game: the tracking example's
+    at n = 1."""
+    return opening_thresholds(k, 1)
 
 
 def oned_table(k: float, eps: float) -> dict[str, float]:
-    """No-info and full-info objective values of the scalar tracking game.
-
-    Keys: {abp,pp,pop}_{ni,fi}. The true (abp) and pessimistic values share
-    the no-information entry; the optimistic one discounts the quadratic
-    part of the penalty by (1 - beta_bar^2).
-    """
-    _check_regime(k)
-    ps = prior_stats(PriorSpec("gaussian", 1))
-    gap = abs(1.0 - k)
-    ni_base = k * k
-    fi_base = gap * gap
-    bb2 = ps.beta_bar**2
-    bk = ps.beta_bar * ps.kappa
-    return {
-        "abp_ni": ni_base + eps * eps,
-        "abp_fi": fi_base + eps * eps + 2.0 * math.sqrt(2.0 / math.pi) * eps * gap,
-        "pp_ni": ni_base + eps * eps,
-        "pp_fi": fi_base + eps * eps + 2.0 * eps * gap,
-        "pop_ni": ni_base + (1.0 - bb2) * eps * eps,
-        "pop_fi": fi_base + (1.0 - bb2) * eps * eps + 2.0 * bk * eps * gap,
-    }
+    """No-info and full-info values of the scalar tracking game: the
+    tracking example's at n = 1."""
+    return opening_table(k, 1, eps)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +172,12 @@ def oned_table(k: float, eps: float) -> dict[str, float]:
 
 
 def opening_table(k: float, n: int, eps: float) -> dict[str, float]:
-    """No-info/full-info values of the n-dimensional tracking example."""
+    """No-info and full-info values of the n-dimensional tracking example.
+
+    Keys: {abp,pp,pop}_{ni,fi}. The true (abp) and pessimistic values share
+    the no-information entry; the optimistic one discounts the quadratic
+    part of the penalty by (1 - beta_bar^2).
+    """
     _check_regime(k)
     gap = abs(1.0 - k)
     ps = prior_stats(PriorSpec("gaussian", n))
@@ -226,28 +196,29 @@ def opening_table(k: float, n: int, eps: float) -> dict[str, float]:
 
 
 def opening_thresholds(k: float, n: int) -> ThresholdTriple:
-    """Crossover radii of the n-dimensional tracking example.
+    """Crossover radii of the n-dimensional tracking example under a Gaussian
+    prior.  Each equates the no-information and full-information values of
+    its program: eps_minus for the pessimistic bound, eps_star for the true
+    cost, eps_plus for the projective optimistic bound.
 
     eps_plus/eps_minus = 1/(beta_bar*kappa) ~ 3.57 for the Gaussian prior
     (dimension-independent, since E|x_1| is).
     """
     _check_regime(k)
-    e_norm = prior_stats(PriorSpec("gaussian", n)).E_norm_x
+    ps = prior_stats(PriorSpec("gaussian", n))
     gap = abs(1.0 - k)
     num = (2.0 * k - 1.0)
     eps_minus = num * math.sqrt(n) / (2.0 * gap)
-    eps_star = num * n / (2.0 * gap * e_norm)
-    eps_plus = eps_minus / _beta_bar_kappa_gaussian()
+    eps_star = num * n / (2.0 * gap * ps.E_norm_x)
+    eps_plus = eps_minus / (ps.beta_bar * ps.kappa)  # beta_bar*kappa = 2/(4+pi)
     return ThresholdTriple(eps_minus=eps_minus, eps_star=eps_star, eps_plus=eps_plus)
 
 
 def opening_linear_best(k: float, n: int, eps: float) -> float:
-    """Best value over linear (no- or full-information) policies:
-    k^2 n + eps^2 + min(0, (1-2k) n + 2 eps |1-k| E||x||)."""
-    e_norm = prior_stats(PriorSpec("gaussian", n)).E_norm_x
-    gap = abs(1.0 - k)
-    bracket = (1.0 - 2.0 * k) * n + 2.0 * eps * gap * e_norm
-    return k * k * n + eps * eps + min(0.0, bracket)
+    """Best value over linear (no- or full-information) policies: the smaller
+    true cost of ``opening_table``."""
+    tab = opening_table(k, n, eps)
+    return min(tab["abp_ni"], tab["abp_fi"])
 
 
 def _gamma_q(a: float, x: float) -> float:
@@ -279,21 +250,16 @@ def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
 
     Value (1-2k) T2(R) + k^2 n + eps^2 + 2 eps |1-k| T1(R), with the chi(n)
     tail moments in closed form:
-    T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Gamma((n+m)/2, R^2/2) / Gamma(n/2),
-    from ``_gamma_q``.
+    T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Q((n+m)/2, R^2/2) Gamma((n+m)/2) / Gamma(n/2),
+    Q from ``_gamma_q``; the Gamma ratio is ``_gamma_ratio_half(n)`` for m = 1
+    and exactly n/2 for m = 2.
     """
     if R < 0.0:
         raise InvalidRadius("threshold radius must be nonnegative")
     gap = abs(1.0 - k)
-
-    def tail_moment(m: int) -> float:
-        a = (n + m) / 2.0
-        return (
-            2.0 ** (m / 2.0) * _gamma_q(a, R * R / 2.0)
-            * math.exp(math.lgamma(a) - math.lgamma(n / 2.0))
-        )
-
-    t1, t2 = tail_moment(1), tail_moment(2)
+    x = R * R / 2.0
+    t1 = math.sqrt(2.0) * _gamma_q((n + 1) / 2.0, x) * _gamma_ratio_half(n)
+    t2 = n * _gamma_q((n + 2) / 2.0, x)
     return (1.0 - 2.0 * k) * t2 + k * k * n + eps * eps + 2.0 * eps * gap * t1
 
 

@@ -355,24 +355,32 @@ class DerivedCoefficients:
         return out
 
 
-def derive_coefficients(
-    qf: QuadraticForm, hyp: EllipsoidalHypothesis
-) -> DerivedCoefficients:
-    """Derive the full coefficient system from a reduced game and hypothesis."""
-    from .programs import _Pencil  # local import avoids a cycle
-
+def _coefficient_terms(qf: QuadraticForm, hyp: EllipsoidalHypothesis):
+    """(D, c, a, Qm, f_vec): E = 4 a a^T, f = 4 |f_vec|^2, and Qm = C^T Q22 C
+    has the top eigenvalues lambda_bar, lambda_bar_2.  Under the policy
+    y = P x the credible-mean deviation at state x is v = x P a - f_vec."""
     if hyp.n != qf.n:
         raise InvalidMatrix("hypothesis dimension does not match the game")
     C = hyp.C
     d = sym(qf.q12 + qf.q21 + qf.q22)
     c = qf.r + float(qf.l @ qf.Q @ qf.l) + float(np.trace(qf.q11))
     a = (qf.q12 + qf.q22) @ C
-    e = sym(4.0 * a @ a.T)
     qm = sym(C.T @ qf.q22 @ C)
+    fvec = C.T @ (qf.q21 @ qf.l1 + qf.q22 @ qf.l2)
+    return d, c, a, qm, fvec
+
+
+def derive_coefficients(
+    qf: QuadraticForm, hyp: EllipsoidalHypothesis
+) -> DerivedCoefficients:
+    """Derive the full coefficient system from a reduced game and hypothesis."""
+    from .programs import _Pencil  # local import avoids a cycle
+
+    d, c, a, qm, fvec = _coefficient_terms(qf, hyp)
+    e = sym(4.0 * a @ a.T)
     w = np.linalg.eigvalsh(qm)
     lambda_bar = float(w[-1]) if w.size else 0.0
     lambda_bar_2 = float(w[-2]) if w.size > 1 else 0.0
-    fvec = C.T @ (qf.q21 @ qf.l1 + qf.q22 @ qf.l2)
     f = 4.0 * float(fvec @ fvec)
     # t_bar is read from the record's BP projection, so D is decomposed once
     pen = _Pencil(d, e)

@@ -32,9 +32,10 @@ t_check.  So every psi is concave and nondecreasing, and PP, POP and SPOP
 differ only in their weights (alpha, offset, lb): PP (1, c + lb, 0), POP
 (bb*k, c + (1-bb^2) lb, 0) and SPOP (k, c, lb).  h is convex and
 nonincreasing on [0, t_bar], so on any interval [a, b] the bound
-min j >= h(b) + psi(a) holds; a best-first interval subdivision driven by
-that bound terminates with a certificate that the returned value is within
-``rho`` of the true minimum.
+min j >= h(b) + psi(a) holds, and every oracle call's dual value and
+multiplier give a tangent minorant of h by weak duality; a best-first
+interval subdivision driven by those bounds terminates with a certificate
+that the returned value is within ``rho`` of the true minimum.
 
 The three programs so minimize over the same h of the same (D, E): the
 programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
@@ -105,6 +106,9 @@ class ProgramSolution:
     of two projections), ``projection`` the best orthogonal-projection
     rounding of it, ``rank`` the rank of that projection, and ``rho`` the
     certified suboptimality of ``value`` (0 for exactly solved programs).
+    A penalized program's value is the smaller of the search's value and the
+    projection's objective: within ``rho`` of the optimum, but not always
+    the objective of a returned matrix.
     """
 
     program: str
@@ -209,8 +213,8 @@ class _Pencil:
 
     @functools.cached_property
     def bp_result(self) -> HOracleResult:
-        """The BP projection as an oracle result at t = 0: the optimum of
-        every search at a scale where E vanishes."""
+        """The BP projection as an oracle result at t = 0, whose value is
+        Tr(D P_BP): the oracle's and every search's optimum where E vanishes."""
         value = float(np.sum(self.D * self.bp))
         return HOracleResult(t=0.0, value=value, X=self.bp, lambda_dual=0.0, dual_value=value)
 
@@ -492,18 +496,18 @@ def h_eq(
 
     if trE <= 1e-13 * (1.0 + normE):
         # E vanishes: the constraint is vacuous at t ~ 0
-        p_lt = pen.bp
-        value = float(np.sum(D * p_lt))
-        return HOracleResult(t=t, value=value, X=p_lt, lambda_dual=0.0, dual_value=value)
+        return replace(pen.bp_result, t=t)
 
-    # the endpoint band is relative to Tr E, so that h_eq(D, s*E, s*t) is
-    # h_eq(D, E, t) at every scale s
-    snap = 1e-9 * trE
+    _, ve, ker, wk, uk = pen.e_split
+    # h falls strictly inside any band around the endpoints, where the closed
+    # form below holds: a nonsingular E needs no band (the jumps of g reach
+    # them); a singular E snaps t within 1e-9*Tr E (scale-free) to them, as
+    # the search can miss its gap tolerance that close to an endpoint
+    snap = 1e-9 * trE if ker.any() else 0.0
     if t <= snap or t >= trE - snap:
         # at the trace endpoints the multiplier runs away, but the optimum is
         # closed-form: Tr(E X) = 0 forces X onto ker E, and Tr(E X) = Tr E
         # forces X = I on range E, leaving a free box minimization on ker E
-        _, ve, ker, wk, uk = pen.e_split
         x = np.zeros_like(D)
         value = 0.0
         if t >= trE - snap:
@@ -511,11 +515,10 @@ def h_eq(
             pr = vr @ vr.T
             x += pr
             value += float(np.sum(D * pr))
-        if ker.any():
-            neg = wk < -1e-13 * (1.0 + normD)
-            un = ve[:, ker] @ uk[:, neg]
-            x += un @ un.T
-            value += float(np.sum(wk[neg]))
+        neg = wk < -1e-13 * (1.0 + normD)  # empty when E is nonsingular
+        un = ve[:, ker] @ uk[:, neg]
+        x += un @ un.T
+        value += float(np.sum(wk[neg]))
         return HOracleResult(t=t, value=value, X=sym(x), lambda_dual=0.0, dual_value=value)
 
     p, v = _multiplier(pen, t, gap_tol=0.25 * tol)
@@ -600,30 +603,26 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     def interval_lb(a: float, b: float) -> float:
         """Lower bound for j on [a, b] with both endpoints already evaluated.
 
-        Combines the monotonicity bound h(b) + psi(a) with the convexity
-        tangents h(s) >= h(s0) - lam_s0*(s - s0) at both endpoints (the dual
-        multiplier is a subgradient slope of -h); the tangent bound is exact
-        to second order near the penalized minimizer, which keeps the
-        subdivision from stalling on flat stretches.  Each tangent minorant
-        plus the penalty is concave in s, so its minimum over [a, b] is at an
-        endpoint.
+        Weak-duality minorants from the endpoints' dual values, so no slack
+        for the oracle's gap: the monotonicity bound dual_value(b) + psi(a)
+        (h is nonincreasing on [0, t_bar]) and the tangents
+        h(s) >= dual_value(s0) - lam_s0*(s - s0) at both endpoints (the dual
+        function at lam_s0 bounds h everywhere), exact to second order near
+        the penalized minimizer, which keeps the subdivision from stalling
+        on flat stretches.  Each minorant plus the penalty is concave in s,
+        so its minimum over [a, b] is at an endpoint.
         """
         ra, rb = hs[a], hs[b]
         pa, pb = psis[a], psis[b]
-        lb = rb.value + pa
-        slack = 1e-9 * (1.0 + abs(ra.value) + abs(rb.value))
+        lb = rb.dual_value + pa
         for s0, r in ((b, rb), (a, ra)):
             lam = max(float(r.lambda_dual), 0.0)
             if s0 == a and lam <= 0.0:
                 continue  # a zero slope taken at the left endpoint is invalid
-            at_a = r.value - lam * (a - s0) + pa
-            at_b = r.value - lam * (b - s0) + pb
-            lb = max(lb, min(at_a, at_b) - slack)
+            at_a = r.dual_value - lam * (a - s0) + pa
+            at_b = r.dual_value - lam * (b - s0) + pb
+            lb = max(lb, min(at_a, at_b))
         return lb
-
-    if pen.t_bar <= 1e-14 * (1.0 + pen.t_bar):
-        v0 = j(0.0)
-        return 0.0, hs[0.0], v0, 0.0
 
     ss = pen.seeds(f)
     vals = {sv: j(sv) for sv in ss}
@@ -713,9 +712,8 @@ def extract_projection(
 def solve_bp(dc: DerivedCoefficients) -> ProgramSolution:
     """Bayesian program: exact, Sigma = projection onto D's negative space."""
     p_lt = dc.pencil.bp
-    value = float(np.sum(dc.D * p_lt)) + dc.c
     return ProgramSolution(
-        program="BP", Sigma=p_lt, value=value,
+        program="BP", Sigma=p_lt, value=dc.pencil.bp_result.value + dc.c,
         rank=_rank_projection(p_lt), rho=0.0, projection=p_lt,
     )
 
@@ -915,7 +913,7 @@ def pessimistic_noinfo_threshold(dc: DerivedCoefficients) -> float:
     C = eps*C0 with dc's unit system derived at C0, s plays eps^2).
     """
     pen = dc.pencil
-    tau = float(np.sum(pen.D * pen.bp))  # <= 0
+    tau = pen.bp_result.value  # <= 0
     if tau >= -1e-9 * (1.0 + pen.normD):
         return 0.0
     lmin = float(pen.eigE[0])
@@ -962,10 +960,10 @@ def sweep(
     solution's projection is estimated by Monte Carlo, which additionally
     requires ``qf``, ``C0`` and ``prior``.
 
-    Reported values are achieved objective values, so they certify the
-    pointwise ordering POP <= SPOP <= PP up to exact arithmetic: each
-    program's incumbent set includes the argmins found by the stronger
-    neighbors in the chain.
+    Each reported value lies within its program's certified rho of the
+    optimum, so the ordering POP <= SPOP <= PP of the optima holds for the
+    reported values up to that rho, pointwise: each program's incumbent set
+    includes the argmins found by the stronger neighbors in the chain.
     """
     if mc is not None:
         # checked before the first row is solved, not by mc_true_cost after it
@@ -982,8 +980,8 @@ def sweep(
         pop = solve_pop(dc, ps, rho)
 
         # cross-seeding: evaluating each objective at the neighbors' argmins
-        # can only lower the reported (achieved) values, and enforces the
-        # theoretical chain pointwise
+        # can only lower the reported values, and enforces the theoretical
+        # chain pointwise
         val_pp = pp.value
         spop_cands = [spop.value, spop_objective(dc, ps.kappa, pp.projection),
                       spop_objective(dc, ps.kappa, pp.Sigma)]

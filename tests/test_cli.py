@@ -271,6 +271,22 @@ def test_example_opening_n1_matches_oned(tmp_path, capsys):
         assert va == pytest.approx(vb, abs=1e-12)
 
 
+def test_example_oned_is_opening_at_n1(tmp_path, capsys):
+    # one implementation: the scalar table and thresholds are the tracking
+    # example's at n = 1, byte for byte
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for k in ("0.6", "2", "3.7", "10"):
+        args = ["--k", k, "--steps", "61", "--eps-hi", "6"]
+        assert cli.main(["example", "--which", "oned", *args, "--out", str(a)]) == 0
+        out_a = capsys.readouterr().out
+        assert cli.main(
+            ["example", "--which", "opening", "--n", "1", *args, "--out", str(b)]
+        ) == 0
+        out_b = capsys.readouterr().out
+        assert a.read_bytes() == b.read_bytes()
+        assert out_b.splitlines()[0] == out_a.strip()
+
+
 def test_example_opening_writes_radius_scan(tmp_path, capsys):
     out = tmp_path / "opening.csv"
     rc = cli.main(

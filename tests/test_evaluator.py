@@ -15,9 +15,13 @@ from lqpersuasion import (
     radius_threshold_cost,
     thresholds_1d,
 )
+from conftest import random_reduced_game
+from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, programs
 from lqpersuasion.demo import tracking_form
 from lqpersuasion.errors import InvalidParameter, InvalidRadius, OutOfRegime
 from lqpersuasion.evaluator import gaussian_samples, prior_samples
+from lqpersuasion.innermax import worst_case_penalty_batch
+from lqpersuasion.spectral import sym
 
 
 # --------------------------------------------------------------------------
@@ -82,6 +86,51 @@ def test_mc_true_cost_no_information_closed_form():
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
+def test_mc_true_cost_reads_the_coefficient_terms(monkeypatch):
+    # Monte Carlo reads D, c, Qm and the deviation terms of the derivation:
+    # it builds no oracle record and decomposes only Qm, in the inner
+    # maximization.  The reference below is the direct form of the estimate,
+    # v = (x P M^T - base) C with M = Q21 + Q22, on the full derivation.
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in (3, 30):
+        qf = random_reduced_game(rng, n)
+        C = rng.normal(size=(n, n))
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : n // 2 + 1]
+        cases.append((qf, C, PriorSpec("gaussian", n), u @ u.T))
+    refs = []
+    for qf, C, prior, P in cases:
+        dc = derive_coefficients(qf, EllipsoidalHypothesis(C))
+        m = qf.q21 + qf.q22
+        base = qf.q21 @ qf.l1 + qf.q22 @ qf.l2
+        x = prior_samples(prior, 4, 0, 5_000)
+        pen = worst_case_penalty_batch(sym(C.T @ qf.q22 @ C), (x @ P @ m.T - base) @ C)
+        refs.append((float(np.sum(dc.D * P)) + dc.c + float(np.mean(pen)),
+                     float(np.std(pen, ddof=1) / math.sqrt(pen.size))))
+
+    def counter(owner, name):
+        orig, count = getattr(owner, name), [0]
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return count
+
+    pencils = counter(programs._Pencil, "__init__")
+    eigh = counter(np.linalg, "eigh")
+    eigvalsh = counter(np.linalg, "eigvalsh")
+    for (qf, C, prior, P), (mean, stderr) in zip(cases, refs):
+        eigh[0] = 0
+        est = mc_true_cost(qf, C, prior, P, n_samples=5_000, seed=4)
+        assert abs(est.mean - mean) <= 1e-12 * abs(mean)
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+        assert eigh[0] == 1
+    assert pencils[0] == 0
+    assert eigvalsh[0] == 0
+
+
 def test_mc_true_cost_rejects_bad_sample_count():
     with pytest.raises(InvalidParameter):
         mc_true_cost(
@@ -128,6 +177,14 @@ def test_oned_table_symbolic_values():
         assert tab["pop_fi"] == pytest.approx(
             1.0 + 2.0 * bb * kap * eps + (1 - bb * bb) * eps * eps, abs=1e-12
         )
+
+
+def test_scalar_tables_are_the_tracking_tables_at_n1():
+    # the scalar game is the tracking example at n = 1, bit for bit
+    for k in (0.6, 0.9, 1.5, 2.0, 3.7, 10.0):
+        assert thresholds_1d(k) == opening_thresholds(k, 1)
+        for eps in np.linspace(0.0, 6.0, 61):
+            assert oned_table(k, float(eps)) == opening_table(k, 1, float(eps))
 
 
 def test_regime_guards():
@@ -238,6 +295,15 @@ def test_radius_cost_limits():
     assert radius_threshold_cost(k, n, eps, 50.0) == pytest.approx(tab["abp_ni"], rel=1e-9)
     with pytest.raises(InvalidRadius):
         radius_threshold_cost(k, n, eps, -1.0)
+
+
+def test_radius_cost_exact_second_moment_at_large_n():
+    # at R = 0, T2 = E||x||^2 = n exactly (Gamma(n/2 + 1) = (n/2) Gamma(n/2)),
+    # so the cost is the full-information value (k - 1)^2 n at eps = 0; a
+    # difference of log-gammas near (n/2) ln(n/2) rounds it about 1e-10 off
+    k, n = 2.0, 10**6
+    expect = (k - 1.0) ** 2 * n
+    assert abs(radius_threshold_cost(k, n, 0.0, 0.0) - expect) <= 1e-15 * expect
 
 
 def test_radius_scan_beats_linear_policies_at_large_eps():

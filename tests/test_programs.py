@@ -253,6 +253,45 @@ def test_h_eq_zero_e():
     assert res.value == pytest.approx(-2.0)
 
 
+def test_h_eq_nonsingular_e_has_no_endpoint_band():
+    # h keeps falling inside [0, 1e-9*Tr E] when E is nonsingular: the
+    # minimum at t = 5e-11 is -1/2, at X = diag(0, 1/2), where the closed
+    # form of the endpoint t = 0 reads 0 with a zero gap
+    res = h_eq(np.diag([1.0, -1.0]), np.diag([1.0, 1e-10]), 5e-11)
+    assert res.value == pytest.approx(-0.5, abs=1e-9)
+    assert abs(res.value - res.dual_value) <= 1e-9
+    assert np.allclose(res.X, np.diag([0.0, 0.5]), atol=1e-9)
+
+
+def test_pp_certified_with_nearly_singular_e():
+    # min Tr(D S) + sqrt(Tr(E S)) is -1 + sqrt(1e-10) = -0.99999, at the BP
+    # projection diag(0, 1); it needs the oracle inside the endpoint band
+    dc = instance.DerivedCoefficients(
+        n=2, D=np.diag([1.0, -1.0]), E=np.diag([1.0, 1e-10]), f=0.0, c=0.0,
+        lambda_bar=0.0, lambda_bar_2=0.0, t_bar=1e-10,
+    )
+    sol = solve_pp(dc, rho=1e-6)
+    assert -0.99999 - 1e-12 <= sol.value <= -0.99999 + sol.rho + 1e-12
+    assert 0.0 <= sol.rho <= 1e-6
+    assert sol.rank == 1
+    assert np.allclose(sol.projection, np.diag([0.0, 1.0]))
+
+
+def test_pp_certifies_tight_rho_at_n100(monkeypatch):
+    # dual-value bounds carry no slack proportional to |h| (here ~6e4), so
+    # rho = 1e-6 certifies in a few oracle calls on the solve-ladder's n = 100
+    # form (a Wasserstein hypothesis eps = 0.5, solved as the CLI does, on
+    # the unit derivation scaled by eps)
+    rng = np.random.default_rng((1, 100, 0))
+    a = rng.normal(size=(200, 200))
+    qf = instance.QuadraticForm(n=100, Q=a @ a.T, l=rng.normal(size=200), r=0.0)
+    dc = derive_coefficients(qf, hypothesis_wasserstein(1.0, 100)).scaled(0.5)
+    heq = _count_calls(monkeypatch, programs, "h_eq")
+    sol = solve_pp(dc, rho=1e-6)
+    assert 0.0 <= sol.rho <= 1e-6
+    assert heq[0] <= 50, heq[0]
+
+
 def test_h_eq_rejects_indefinite_e():
     # the pencil reduction, the endpoint closed forms and the [0, Tr E]
     # feasibility test all assume E >= 0.  Here the minimum is -1.5, at
