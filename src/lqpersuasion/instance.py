@@ -437,8 +437,22 @@ class PriorStats:
 
 
 def _gamma_ratio_half(n: int) -> float:
-    """Gamma((n+1)/2) / Gamma(n/2) via log-gamma (overflow-safe)."""
-    return math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
+    """Gamma((n+1)/2) / Gamma(n/2), overflow-safe.
+
+    Below n = 1000 from the difference of log-gammas.  That difference
+    cancels two terms of size about (n/2) ln(n/2) and so loses about
+    eps*n*ln(n) relative, so from n = 1000 on the ratio is the asymptotic
+    series sqrt(x)*(1 - 1/(8x) + 1/(128x^2) + 5/(1024x^3) - 21/(32768x^4)
+    - 399/(262144x^5)) in x = n/2, whose next term is below 1e-19 there.
+    """
+    if n < 1000:
+        return math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
+    x = n / 2.0
+    u = 1.0 / x
+    s = -399.0 / 262144.0
+    for c in (-21.0 / 32768.0, 5.0 / 1024.0, 1.0 / 128.0, -1.0 / 8.0, 1.0):
+        s = c + u * s
+    return math.sqrt(x) * s
 
 
 def prior_stats(prior: PriorSpec) -> PriorStats:

@@ -44,10 +44,10 @@ distinct t and one eigensolve per distinct multiplier probed.  The record
 keeps an O(n) summary of each probe (the eigenvalues, the diagonal of E in
 their eigenbasis and, once computed, the slope of g), not its
 eigenvectors: an oracle call that accepts a probe of an earlier call solves
-it once more.  Each oracle result keeps the thresholding split of its X,
-which every program that rounds it reads.  A homothetic rescaling
-multiplies E, f and lambda_bar by eps^2, so its oracle is
-h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
+it once more.  Each oracle result keeps the nested projections its X
+interpolates, which every program that rounds it scores as candidates.  A
+homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
+is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
 system, and its searches minimize h_1(s) + psi in unit coordinates
 s = t/eps^2, so that a whole sweep shares one record.
 """
@@ -72,30 +72,36 @@ from .errors import (
     OracleDiverged,
 )
 from .instance import DerivedCoefficients, PriorStats
-from .spectral import eig_sym, neg_projections, sym
+from .spectral import neg_projections, sym
 
 
 @dataclass
 class HOracleResult:
     """One trace-constrained oracle call: primal X, dual multiplier, value.
 
-    ``split`` is the thresholding split of X that ``extract_projection``
-    cuts into candidate projections, from one eigendecomposition of X on
-    first use.  Every program and every scale whose search lands on a t of a
-    ``_Pencil`` record reads the same result there, so they share that
-    split; a t evaluated again at a tighter tolerance is a new result with
-    its own.
+    ``projections`` are the orthogonal projections that X interpolates,
+    ascending by rank: (P_lt, P_le), the negative and non-positive
+    eigenprojections of D + lambda_dual*E (one array twice when no
+    eigenvalue sits in the zero band), with X = P_lt + theta*(P_le - P_lt),
+    or (X,) where X is itself a projection (the endpoint closed forms and the
+    BP result).  ``extract_projection`` scores them as rounding candidates, so
+    no program decomposes X.  X itself is rebuilt from them on first read,
+    by the expression the oracle evaluated: a record keeps X only for the
+    results that a program returns.
     """
 
     t: float
     value: float
-    X: np.ndarray
     lambda_dual: float
-    dual_value: float = 0.0
+    dual_value: float
+    projections: tuple[np.ndarray, ...]
+    theta: float = 0.0
 
     @functools.cached_property
-    def split(self) -> tuple[np.ndarray, list[int]]:
-        return _thresholding_split(self.X)
+    def X(self) -> np.ndarray:
+        if len(self.projections) == 1:
+            return self.projections[0]
+        return _interpolate(*self.projections, self.theta)
 
 
 @dataclass
@@ -103,9 +109,11 @@ class ProgramSolution:
     """Solution record of one program.
 
     ``Sigma`` is the solver's covariance argument (possibly an interpolation
-    of two projections), ``projection`` the best orthogonal-projection
-    rounding of it, ``rank`` the rank of that projection, and ``rho`` the
-    certified suboptimality of ``value`` (0 for exactly solved programs).
+    of two projections), ``projection`` the best of the candidate
+    projections (for a penalized program: 0, the projections that Sigma
+    interpolates and the stationarity projection), ``rank`` the rank of that
+    projection, and ``rho`` the certified suboptimality of ``value`` (0 for
+    exactly solved programs).
     A penalized program's value is the smaller of the search's value and the
     projection's objective: within ``rho`` of the optimum, but not always
     the objective of a returned matrix.
@@ -129,25 +137,31 @@ def _rank_projection(p: np.ndarray) -> int:
 # --------------------------------------------------------------------------
 
 
+def _interpolate(p_lt: np.ndarray, p_le: np.ndarray, theta: float) -> np.ndarray:
+    return sym(p_lt + theta * (p_le - p_lt))
+
+
 def _build_primal(D, E, t, lam, w, v, ztol):
+    """(primal, dual, (P_lt, P_le), theta) at the accepted multiplier, with
+    X = _interpolate(P_lt, P_le, theta)."""
     lt = w < -ztol
     le = w <= ztol
     vlt = v[:, lt]
     vle = v[:, le]
     p_lt = vlt @ vlt.T
-    p_le = vle @ vle.T
+    # lt is a subset of le: equal counts mean one projection, kept once
+    p_le = p_lt if vle.shape[1] == vlt.shape[1] else vle @ vle.T
     g_lo = float(np.sum((E @ vlt) * vlt))
     g_hi = float(np.sum((E @ vle) * vle))
     if g_hi - g_lo > 1e-15 * (1.0 + abs(g_hi)):
         theta = min(max((t - g_lo) / (g_hi - g_lo), 0.0), 1.0)
     else:
         theta = 0.0
-    x = sym(p_lt + theta * (p_le - p_lt))
-    primal = float(np.sum(D * x))
+    primal = float(np.sum(D * _interpolate(p_lt, p_le, theta)))
     # exact dual value phi(lam) = sum_i min(mu_i, 0) - lam*t: a valid lower
     # bound at any multiplier, independent of the zero classification
     dual = float(np.sum(np.minimum(w, 0.0))) - lam * t
-    return x, primal, dual
+    return primal, dual, (p_lt, p_le), theta
 
 
 class _Pencil:
@@ -157,11 +171,11 @@ class _Pencil:
     (``e_split``), the spectral norms, the jumps of the supergradient (see
     ``jumps`` and ``_multiplier``), the projection onto D's negative
     eigenspace (the BP optimum) and the trace t_bar it reaches, the seed
-    grid of the penalized search, the oracle
-    values h(t) evaluated so far (each keeping its thresholding split, see
-    ``HOracleResult``) and, in ``probes``, the O(n) summary (``_Probe``) of
-    every multiplier the oracle has probed, which the later calls read
-    instead of solving D + lam*E again.
+    grid of the penalized search, the oracle values h(t) evaluated so far
+    (each keeping the projections its X interpolates, see ``HOracleResult``)
+    and, in ``probes``, the O(n) summary (``_Probe``) of every multiplier the
+    oracle has probed, which the later calls read instead of solving
+    D + lam*E again.
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
@@ -216,7 +230,8 @@ class _Pencil:
         """The BP projection as an oracle result at t = 0, whose value is
         Tr(D P_BP): the oracle's and every search's optimum where E vanishes."""
         value = float(np.sum(self.D * self.bp))
-        return HOracleResult(t=0.0, value=value, X=self.bp, lambda_dual=0.0, dual_value=value)
+        return HOracleResult(t=0.0, value=value, lambda_dual=0.0, dual_value=value,
+                             projections=(self.bp,))
 
     @functools.cached_property
     def t_bar(self) -> float:
@@ -519,16 +534,18 @@ def h_eq(
         un = ve[:, ker] @ uk[:, neg]
         x += un @ un.T
         value += float(np.sum(wk[neg]))
-        return HOracleResult(t=t, value=value, X=sym(x), lambda_dual=0.0, dual_value=value)
+        return HOracleResult(t=t, value=value, lambda_dual=0.0, dual_value=value,
+                             projections=(sym(x),))
 
     p, v = _multiplier(pen, t, gap_tol=0.25 * tol)
-    x, primal, dual = _build_primal(D, E, t, p.lam, p.w, v, p.ztol)
+    primal, dual, projections, theta = _build_primal(D, E, t, p.lam, p.w, v, p.ztol)
     if abs(primal - dual) > tol:
         raise OracleDiverged(
             f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
             f"at t={t}"
         )
-    return HOracleResult(t=t, value=primal, X=x, lambda_dual=p.lam, dual_value=dual)
+    return HOracleResult(t=t, value=primal, lambda_dual=p.lam, dual_value=dual,
+                         projections=projections, theta=theta)
 
 
 # --------------------------------------------------------------------------
@@ -666,42 +683,22 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
 # --------------------------------------------------------------------------
 
 
-def _thresholding_split(x: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(v, ks): the eigenvectors of X by descending eigenvalue, and the
-    ranks k, ascending, of the projections v[:, :k] v[:, :k]^T that threshold
-    X's spectrum at each distinct positive level (and k = 0)."""
-    w, v = eig_sym(x)
-    n = w.size
-    ks = [0]
-    for i in range(n):
-        if w[i] <= 1e-8:
-            break
-        if i + 1 == n or w[i] - w[i + 1] > 1e-8 * (1.0 + abs(w[i])):
-            ks.append(i + 1)
-    return v, ks
-
-
 def extract_projection(
-    x: np.ndarray | HOracleResult, objective: Callable[[np.ndarray], float]
+    candidates: Sequence[np.ndarray], objective: Callable[[np.ndarray], float]
 ) -> tuple[np.ndarray, float]:
-    """Best projection among the thresholdings of X's eigenvalues, and its
-    objective value.
+    """Best of the candidate orthogonal projections, and its objective value.
 
-    X (0 <= X <= I) is a convex combination of the nested projections
-    obtained by thresholding its spectrum at each distinct level; since all
-    program objectives are concave in Sigma, the best of those candidates
-    scores no worse than X.  Ties (within a tiny relative band) go to the
-    lower rank.  Given an oracle result, X's eigenvectors are read from its
-    ``split``, so X is decomposed once however many programs round it.
+    The candidates are scored in ascending rank order (a stable sort, so
+    candidates of equal rank keep their order), and ties within a tiny band
+    relative to the best score go to the lower rank.  The program objectives
+    are concave in Sigma, so the best of the projections that an X
+    interpolates scores no worse than X itself.
     """
-    v, ks = x.split if isinstance(x, HOracleResult) else _thresholding_split(x)
-    candidates = [sym(v[:, :k] @ v[:, :k].T) for k in ks]
-    scores = [objective(p) for p in candidates]
+    ranked = sorted(candidates, key=_rank_projection)
+    scores = [objective(p) for p in ranked]
     best = min(scores)
     tie = 1e-11 * (1.0 + abs(best))
-    for p, s in zip(candidates, scores):  # ascending rank order
-        if s <= best + tie:
-            return p, s
+    return next((p, s) for p, s in zip(ranked, scores) if s <= best + tie)
 
 
 # --------------------------------------------------------------------------
@@ -762,20 +759,19 @@ def solve_penalized(
     lam_bar)`` at q = sqrt(f + Tr(E S)): alpha*sqrt(f + t) for lam_bar = 0,
     else the beta-maximized penalty of SPOP (see ``_minimize_penalized``).
 
-    The projection is the best thresholding of the search's argmin or the
-    stationarity projection P_neg(D + psi'(t)*E) at its trace t, with
+    The projection is the best, by ``extract_projection``, of 0, the
+    projections that the search's oracle result interpolates (which the
+    programs and scales that land on the same t share) and the stationarity
+    projection P_neg(D + psi'(t)*E) at its trace t, with
     psi'(t) = alpha/(2*sqrt(f + t)) where psi is alpha*sqrt(f + t) and
-    alpha^2/(4*lam_bar) where it is linear.  The thresholding split is read
-    from the search's oracle result, which the programs and scales that land
-    on the same t share, and each candidate is scored once.
+    alpha^2/(4*lam_bar) where it is linear.
     """
     t_best, res, val, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
     D, E, f = dc.D, dc.E, dc.f
-    obj = _objective(dc, alpha, offset, lam_bar)
-    proj, cur = extract_projection(res, obj)
+    candidates = [np.zeros_like(res.X), *res.projections]
     # the stationarity projection of the smooth objective is the canonical
-    # minimal-rank solution; include it as a candidate (scored like any other,
-    # so the value never rests on it)
+    # minimal-rank solution; it is scored like any other candidate, so the
+    # value never rests on it
     q = math.sqrt(max(f + t_best, 0.0))
     lam_star = None
     if alpha * q < 2.0 * lam_bar:  # psi's linear part; never for lam_bar = 0
@@ -783,13 +779,8 @@ def solve_penalized(
     elif alpha > 0.0 and f + t_best > 1e-300:
         lam_star = alpha / (2.0 * q)
     if lam_star is not None:
-        p_st, _ = neg_projections(D + lam_star * E)
-        tie = 1e-11 * (1.0 + abs(val))
-        alt = obj(p_st)
-        if alt < cur - tie or (
-            alt <= cur + tie and _rank_projection(p_st) < _rank_projection(proj)
-        ):
-            proj, cur = p_st, alt
+        candidates.append(neg_projections(D + lam_star * E)[0])
+    proj, cur = extract_projection(candidates, _objective(dc, alpha, offset, lam_bar))
     value = min(val + offset, cur)
     return ProgramSolution(
         program=program, Sigma=res.X, value=value,

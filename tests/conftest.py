@@ -27,10 +27,11 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.
 
 
 def project_box(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {0 <= X <= I} by eigenvalue clipping."""
-    x = 0.5 * (x + x.T)
+    """Euclidean projection onto {0 <= X <= I} by eigenvalue clipping, of one
+    matrix or of each matrix of an (R, n, n) stack."""
+    x = 0.5 * (x + np.swapaxes(x, -1, -2))
     w, v = np.linalg.eigh(x)
-    return (v * np.clip(w, 0.0, 1.0)) @ v.T
+    return (v * np.clip(w, 0.0, 1.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def trace_box_oracle(
@@ -44,7 +45,8 @@ def trace_box_oracle(
 ) -> float:
     """min Tr(D X) s.t. 0 <= X <= I, Tr(E X) = t, by augmented-Lagrangian
     accelerated projected gradient (FISTA on the smooth part, eigenvalue
-    clipping as the projection)."""
+    clipping as the projection).  The restarts run as one (R, n, n) stack:
+    their step sizes and penalty schedule agree, only the multipliers differ."""
     D = 0.5 * (D + D.T)
     E = 0.5 * (E + E.T)
     n = D.shape[0]
@@ -55,35 +57,37 @@ def trace_box_oracle(
     while len(starts) < n_restarts:
         starts.append(project_box(random_sym(rng, n)))
     froE = float(np.linalg.norm(E)) + 1e-30
-    for x0 in starts:
-        x = project_box(x0)
-        y_mult = 0.0
-        mu = 1.0
-        for _ in range(outer):
-            lip = mu * froE * froE + 1e-12
-            step = 1.0 / lip
-            z = x.copy()
-            tk = 1.0
-            for _ in range(inner):
-                viol = float(np.sum(E * z)) - t
-                grad = D + (y_mult + mu * viol) * E
-                x_new = project_box(z - step * grad)
-                tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-                z = x_new + ((tk - 1.0) / tk_new) * (x_new - x)
-                x, tk = x_new, tk_new
-            viol = float(np.sum(E * x)) - t
-            y_mult += mu * viol
-            mu = min(mu * 4.0, 1e8)
+
+    def violation(xs: np.ndarray) -> np.ndarray:
+        return np.sum(E * xs, axis=(1, 2)) - t
+
+    x = project_box(np.stack(starts))
+    y_mult = np.zeros(len(starts))
+    mu = 1.0
+    for _ in range(outer):
+        lip = mu * froE * froE + 1e-12
+        step = 1.0 / lip
+        z = x.copy()
+        tk = 1.0
+        for _ in range(inner):
+            grad = D + (y_mult + mu * violation(z))[:, None, None] * E
+            x_new = project_box(z - step * grad)
+            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+            z = x_new + ((tk - 1.0) / tk_new) * (x_new - x)
+            x, tk = x_new, tk_new
+        y_mult += mu * violation(x)
+        mu = min(mu * 4.0, 1e8)
+    for xr in x:
         # final exact feasibility repair: slide along a feasible segment
-        viol = float(np.sum(E * x)) - t
+        viol = float(np.sum(E * xr)) - t
         if abs(viol) > 1e-11 * (1.0 + abs(t)):
             target = np.eye(n) if viol < 0.0 else np.zeros((n, n))
-            gap = float(np.sum(E * target)) - float(np.sum(E * x))
+            gap = float(np.sum(E * target)) - float(np.sum(E * xr))
             if abs(gap) > 1e-14:
                 theta = min(max(-viol / gap, 0.0), 1.0)
-                x = x + theta * (target - x)
-        if abs(float(np.sum(E * x)) - t) <= 1e-7 * (1.0 + abs(t) + trE):
-            best = min(best, float(np.sum(D * x)))
+                xr = xr + theta * (target - xr)
+        if abs(float(np.sum(E * xr)) - t) <= 1e-7 * (1.0 + abs(t) + trE):
+            best = min(best, float(np.sum(D * xr)))
     return best
 
 

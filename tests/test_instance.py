@@ -18,6 +18,7 @@ from lqpersuasion import (
     prior_stats,
     upsilon,
 )
+from lqpersuasion import instance
 from lqpersuasion.demo import BENCH3_D, BENCH3_E, bench3_form, bench3_hypothesis, tracking_form
 from lqpersuasion.errors import (
     InvalidMatrix,
@@ -307,6 +308,14 @@ def test_upsilon_matches_sphere_gamma_bar():
         assert upsilon(n) == pytest.approx(
             prior_stats(PriorSpec("sphere", n)).gamma_bar, abs=1e-13
         )
+
+
+def test_gamma_ratio_half_recurrence_at_large_n():
+    # r(n) = Gamma((n+1)/2)/Gamma(n/2) satisfies r(n)*r(n+1) = n/2 exactly;
+    # a difference of log-gammas misses it by about eps*n*ln(n) relative
+    for n in (10**3, 10**4, 10**7, 10**7 + 1, 10**9):
+        got = instance._gamma_ratio_half(n) * instance._gamma_ratio_half(n + 1)
+        assert got == pytest.approx(n / 2.0, rel=1e-14), n
 
 
 def test_upsilon_one_and_limit():

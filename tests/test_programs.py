@@ -96,6 +96,28 @@ def test_h_eq_primal_dual_and_feasibility_fuzz():
                 if s == 1.0:
                     unscaled = res.value
                 assert abs(res.value - unscaled) <= gap_tol
+                _assert_interpolates_projections(res)
+
+
+def _assert_interpolates_projections(res):
+    """res.projections are nested orthogonal projections, ascending by rank,
+    and X = P_lt + theta*(P_le - P_lt) for some theta in [0, 1]."""
+    ps = res.projections
+    assert len(ps) in (1, 2)
+    ranks = []
+    for p in ps:
+        assert np.abs(p - p.T).max() <= 1e-14
+        assert np.abs(p @ p - p).max() <= 1e-12
+        ranks.append(round(float(np.trace(p))))
+        assert float(np.trace(p)) == pytest.approx(ranks[-1], abs=1e-12)
+    p_lt, p_le = ps[0], ps[-1]
+    assert ranks == sorted(ranks)
+    assert np.abs(p_le @ p_lt - p_lt).max() <= 1e-12  # P_lt <= P_le
+    step = p_le - p_lt
+    den = float(np.sum(step * step))
+    theta = float(np.sum((res.X - p_lt) * step)) / den if den > 0.0 else 0.0
+    assert -1e-12 <= theta <= 1.0 + 1e-12
+    assert np.abs(res.X - (p_lt + theta * step)).max() <= 1e-12
 
 
 def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
@@ -498,11 +520,13 @@ def test_spop_without_kappa_is_uop(bench_dc):
 
 
 def test_extract_projection_prefers_low_rank_on_ties():
-    x = np.diag([1.0, 0.6, 0.0])
-    p, s = extract_projection(x, lambda q: 0.0)  # constant objective: all tie
+    # the nested projections that X = diag(1, 0.6, 0) interpolates, out of
+    # rank order: the candidates are scored by ascending rank
+    cands = [np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0])]
+    p, s = extract_projection(cands, lambda q: 0.0)  # constant objective: all tie
     assert np.allclose(p, np.zeros((3, 3)))
     assert s == 0.0
-    p2, s2 = extract_projection(x, lambda q: -float(np.trace(q)))
+    p2, s2 = extract_projection(cands, lambda q: -float(np.trace(q)))
     assert np.allclose(p2, np.diag([1.0, 1.0, 0.0]))
     assert s2 == pytest.approx(-2.0)
 
@@ -699,23 +723,23 @@ def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
     assert eighs.count(base.pencil.E.tobytes()) == 1
 
 
-def test_sweep_splits_each_oracle_result_once(monkeypatch, gauss3):
-    # the 600 roundings of the bench3 sweep land on a few oracle results of
-    # the unit record, and each result keeps its thresholding split: no X is
-    # decomposed twice (without the split on the result: 600 decompositions
-    # of 22 results)
-    seen: list[np.ndarray] = []  # held, so that no id is reused
-    orig = programs.eig_sym
+def test_sweep_decomposes_no_oracle_x(monkeypatch, gauss3):
+    # the 600 roundings of the bench3 sweep score the projections that each
+    # oracle result keeps: no oracle X (nor the BP result's) is an input of
+    # an eigensolve
+    seen: list[np.ndarray] = []
+    orig = np.linalg.eigh
 
-    def recording(a):
-        seen.append(a)
-        return orig(a)
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return orig(a, *args, **kwargs)
 
-    monkeypatch.setattr(programs, "eig_sym", recording)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
     sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
-    assert len({id(a) for a in seen}) == len(seen)
-    assert len(seen) <= len(base.pencil.evals) + 1  # + the BP result at eps = 0
+    xs = [r.X for r in base.pencil.evals.values()] + [base.pencil.bp_result.X]
+    assert len(xs) > 10 and seen
+    assert not any(np.array_equal(a, x) for a in seen for x in xs)
 
 
 def test_sweep_eigensolve_count(monkeypatch, gauss3):
