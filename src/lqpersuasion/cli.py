@@ -131,6 +131,25 @@ def _req(d: dict, key: str, where: str):
     return d[key]
 
 
+def _obj(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise InstanceFileError(f"{where} must be an object")
+    return x
+
+
+def _num(x, where: str, integer: bool = False) -> float:
+    """A finite JSON number (a bool, which Python counts as an int, is not);
+    with ``integer``, one of integral value."""
+    try:  # an integer beyond the float range overflows
+        ok = not isinstance(x, bool) and math.isfinite(x) and (not integer or x == int(x))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise InstanceFileError(f"field {where} must be {kind}, got {x!r:.40}")
+    return float(x)
+
+
 def _np(x, where: str) -> np.ndarray:
     try:
         a = np.asarray(x, dtype=float)
@@ -153,71 +172,72 @@ def parse_instance(path: str):
         raise InstanceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(doc, dict):
-        raise InstanceFileError(f"{path}: top level must be an object")
+    _obj(doc, f"{path}: the top level")
     if str(doc.get("schema_version")) != "1":
         raise InstanceFileError(f"{path}: unsupported schema_version "
                                 f"{doc.get('schema_version')!r} (expected \"1\")")
-    n = _req(doc, "n", "instance")
-    if not isinstance(n, int) or n < 1:
+    n = int(_num(_req(doc, "n", "instance"), "n", integer=True))
+    if n < 1:
         raise InstanceFileError("field 'n' must be a positive integer")
 
     forms = [k for k in ("raw", "reduced") if k in doc]
     if len(forms) != 1:
         raise InstanceFileError("exactly one of 'raw' or 'reduced' must be present")
     if forms[0] == "reduced":
-        red = doc["reduced"]
+        red = _obj(doc["reduced"], "field 'reduced'")
         qf = inst.QuadraticForm(
             n=n,
             Q=_np(_req(red, "Q", "reduced"), "reduced.Q"),
             l=_np(red.get("l", [0.0] * (2 * n)), "reduced.l"),
-            r=float(red.get("r", 0.0)),
+            r=_num(red.get("r", 0.0), "reduced.r"),
         )
     else:
-        rg = doc["raw"]
-        k = _req(rg, "k", "raw")
+        rg = _obj(doc["raw"], "field 'raw'")
+        k = int(_num(_req(rg, "k", "raw"), "raw.k", integer=True))
         game = inst.RawGame(
-            n=n, k=int(k),
+            n=n, k=k,
             M=_np(_req(rg, "M", "raw"), "raw.M"),
-            p=_np(rg.get("p", [0.0] * (n + int(k))), "raw.p"),
-            q=float(rg.get("q", 0.0)),
+            p=_np(rg.get("p", [0.0] * (n + k)), "raw.p"),
+            q=_num(rg.get("q", 0.0), "raw.q"),
             B=_np(_req(rg, "B", "raw"), "raw.B"),
-            b=_np(rg.get("b", [0.0] * int(k)), "raw.b"),
+            b=_np(rg.get("b", [0.0] * k), "raw.b"),
         )
         qf = inst.decompose_nonneg(game)
 
-    hyp_doc = _req(doc, "hypothesis", "instance")
-    if not isinstance(hyp_doc, dict) or len(hyp_doc) != 1:
+    hyp_doc = _obj(_req(doc, "hypothesis", "instance"), "field 'hypothesis'")
+    if len(hyp_doc) != 1:
         raise InstanceFileError("'hypothesis' must hold exactly one builder key")
     (kind, params), = hyp_doc.items()
+
+    def param(key: str, required: bool = True) -> float | None:
+        """Number ``key`` of the builder's object; None if optional and absent or null."""
+        fields = _obj(params, f"field 'hypothesis.{kind}'")
+        if not required and fields.get(key) is None:
+            return None
+        return _num(_req(fields, key, kind), f"{kind}.{key}")
+
     if kind == "matrix":
         hyp = inst.EllipsoidalHypothesis(C=_np(params, "hypothesis.matrix"))
     elif kind == "scaled_identity":
-        hyp = inst.hypothesis_wasserstein(float(params), n)
+        hyp = inst.hypothesis_wasserstein(_num(params, "hypothesis.scaled_identity"), n)
     elif kind == "wasserstein":
-        hyp = inst.hypothesis_wasserstein(float(_req(params, "epsilon", kind)), n)
+        hyp = inst.hypothesis_wasserstein(param("epsilon"), n)
     elif kind == "costly_update":
-        hyp = inst.hypothesis_costly_update(
-            _np(_req(params, "R", kind), "costly_update.R"), n,
-            float(_req(params, "epsilon", kind)),
-        )
+        eps = param("epsilon")  # params is an object from here on
+        r = _np(_req(params, "R", kind), "costly_update.R")
+        hyp = inst.hypothesis_costly_update(r, n, eps)
     elif kind == "mismatched_prior":
         hyp = inst.hypothesis_mismatched_prior(
-            float(_req(params, "epsilon", kind)), n,
-            params.get("trace_sigma_bound"),
-        )
+            param("epsilon"), n, param("trace_sigma_bound", required=False))
     elif kind == "affine_distortion":
-        hyp = inst.hypothesis_affine_distortion(
-            float(_req(params, "chi", kind)),
-            float(_req(params, "epsilon", kind)), n,
-        )
+        hyp = inst.hypothesis_affine_distortion(param("chi"), param("epsilon"), n)
     else:
         raise InstanceFileError(f"unknown hypothesis kind {kind!r}")
 
-    prior_doc = doc.get("prior", {"family": "gaussian", "n": n})
+    prior_doc = _obj(doc.get("prior", {"family": "gaussian", "n": n}), "field 'prior'")
     prior = inst.PriorSpec(
         family=str(_req(prior_doc, "family", "prior")),
-        n=int(prior_doc.get("n", n)),
+        n=int(_num(prior_doc.get("n", n), "prior.n", integer=True)),
     )
     if prior.n != n:
         raise InstanceFileError("prior dimension differs from instance dimension")

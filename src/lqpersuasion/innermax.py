@@ -62,7 +62,7 @@ def worst_case_penalty_batch(Qm: np.ndarray, V: np.ndarray) -> np.ndarray:
     the rows into chunks gives bit-identical values; the Monte-Carlo
     evaluator relies on that.
     """
-    lams, vecs = eig_sym(sym(Qm))
+    lams, vecs = eig_sym(Qm)
     W = np.asarray(V, dtype=float) @ vecs  # rows in the eigenbasis
     m, n = W.shape
     if n == 0:

@@ -91,10 +91,10 @@ class QuadraticForm:
         l = np.asarray(self.l, dtype=float).reshape(-1)
         if q.shape != (2 * self.n, 2 * self.n) or l.shape != (2 * self.n,):
             raise InvalidMatrix("Q/l dimensions inconsistent with 2n")
-        tol = default_zero_tol(q)
-        wmin = float(np.min(np.linalg.eigvalsh(q)))
-        if wmin < -tol:
-            raise NotNonnegativeCost(f"Q has eigenvalue {wmin:.3e} < -{tol:.3e}")
+        w = np.linalg.eigvalsh(q)
+        tol = default_zero_tol(w)
+        if w[0] < -tol:
+            raise NotNonnegativeCost(f"Q has eigenvalue {w[0]:.3e} < -{tol:.3e}")
         if self.r < -tol:
             raise NotNonnegativeCost(f"constant term r = {self.r:.3e} is negative")
         object.__setattr__(self, "Q", q)
@@ -154,7 +154,7 @@ def decompose_nonneg(g: RawGame) -> QuadraticForm:
     q_prime = g.q + float(b @ m22 @ b) + float(p2 @ b)
 
     w, v = eig_sym(q)
-    tol = default_zero_tol(q)
+    tol = default_zero_tol(w)
     if w.size and float(w[-1]) < -tol:
         raise NotNonnegativeCost(
             f"quadratic part has eigenvalue {w[-1]:.3e}; cost is not nonnegative"
@@ -234,8 +234,8 @@ def hypothesis_costly_update(R: np.ndarray, n: int, epsilon: float) -> Ellipsoid
         raise InvalidMatrix("costly-update builder needs a square cross block (k = n)")
     r21 = R[n:, :n]
     r22 = R[n:, n:]
-    w22 = np.linalg.eigvalsh(sym(r22))
-    if float(w22[0]) <= default_zero_tol(r22):
+    w22 = np.linalg.eigvalsh(r22)
+    if float(w22[0]) <= default_zero_tol(w22):
         raise NotPD("action block R22 must be positive definite")
     s = np.linalg.svd(r21, compute_uv=False)
     if s[0] <= 0.0 or s[0] / s[-1] > 1e12:
@@ -382,7 +382,6 @@ def derive_coefficients(
     lambda_bar = float(w[-1]) if w.size else 0.0
     lambda_bar_2 = float(w[-2]) if w.size > 1 else 0.0
     f = 4.0 * float(fvec @ fvec)
-    # t_bar is read from the record's BP projection, so D is decomposed once
     pen = _Pencil(d, e)
     dc = DerivedCoefficients(
         n=qf.n,
@@ -392,7 +391,7 @@ def derive_coefficients(
         c=c,
         lambda_bar=lambda_bar,
         lambda_bar_2=lambda_bar_2,
-        t_bar=float(np.trace(e @ pen.bp)),
+        t_bar=pen.t_bar,
     )
     object.__setattr__(dc, "pencil", pen)  # the record t_bar was read from
     return dc

@@ -72,7 +72,7 @@ from .errors import (
     OracleDiverged,
 )
 from .instance import DerivedCoefficients, PriorStats
-from .spectral import neg_projections, sym
+from .spectral import neg_part, sym
 
 
 @dataclass
@@ -138,7 +138,7 @@ def _rank_projection(p: np.ndarray) -> int:
 
 
 def _interpolate(p_lt: np.ndarray, p_le: np.ndarray, theta: float) -> np.ndarray:
-    return sym(p_lt + theta * (p_le - p_lt))
+    return p_lt + theta * (p_le - p_lt)
 
 
 def _build_primal(D, E, t, lam, w, v, ztol):
@@ -166,16 +166,16 @@ def _build_primal(D, E, t, lam, w, v, ztol):
 
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
-    the same pair: the symmetrized matrices, Tr E and, on first use, the
-    spectrum of D (one ``eigvalsh``), the split of E into range and kernel
-    (``e_split``), the spectral norms, the jumps of the supergradient (see
-    ``jumps`` and ``_multiplier``), the projection onto D's negative
-    eigenspace (the BP optimum) and the trace t_bar it reaches, the seed
-    grid of the penalized search, the oracle values h(t) evaluated so far
-    (each keeping the projections its X interpolates, see ``HOracleResult``)
-    and, in ``probes``, the O(n) summary (``_Probe``) of every multiplier the
-    oracle has probed, which the later calls read instead of solving
-    D + lam*E again.
+    the same pair: the symmetrized matrices, Tr E, the spectrum and norm of D
+    and the projection onto its negative eigenspace (the BP optimum), all
+    from one ``eigh`` of D, and, on first use, the split of E into range and
+    kernel (``e_split``), the norm of E, the jumps of the supergradient (see
+    ``jumps`` and ``_multiplier``), the trace t_bar of E against the BP
+    projection, the seed grid of the penalized search, the oracle values
+    h(t) evaluated so far (each keeping the projections its X interpolates,
+    see ``HOracleResult``) and, in ``probes``, the O(n) summary (``_Probe``)
+    of every multiplier the oracle has probed, which the later calls read
+    instead of solving D + lam*E again.
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
@@ -187,14 +187,13 @@ class _Pencil:
         self.D = sym(D)
         self.E = sym(E)
         self.trE = float(np.trace(self.E))
+        # eigD ascending; D's eigenvectors are not kept
+        self.eigD, v = np.linalg.eigh(self.D)
+        self.normD = float(np.max(np.abs(self.eigD), initial=0.0))
+        self.bp = neg_part(self.eigD, v)
         self.evals: dict[float, HOracleResult] = {}
         self.probes: dict[float, _Probe] = {}
         self._seeds: dict[float, tuple[float, ...]] = {}
-
-    @functools.cached_property
-    def eigD(self) -> np.ndarray:
-        """Eigenvalues of D, ascending."""
-        return np.linalg.eigvalsh(self.D)
 
     @functools.cached_property
     def e_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -213,17 +212,8 @@ class _Pencil:
         return self.e_split[0]
 
     @functools.cached_property
-    def normD(self) -> float:
-        return float(np.max(np.abs(self.eigD), initial=0.0))
-
-    @functools.cached_property
     def normE(self) -> float:
         return float(np.max(np.abs(self.eigE), initial=0.0))
-
-    @functools.cached_property
-    def bp(self) -> np.ndarray:
-        """Projection onto the negative eigenspace of D."""
-        return neg_projections(self.D)[0]
 
     @functools.cached_property
     def bp_result(self) -> HOracleResult:
@@ -535,7 +525,7 @@ def h_eq(
         x += un @ un.T
         value += float(np.sum(wk[neg]))
         return HOracleResult(t=t, value=value, lambda_dual=0.0, dual_value=value,
-                             projections=(sym(x),))
+                             projections=(x,))
 
     p, v = _multiplier(pen, t, gap_tol=0.25 * tol)
     primal, dual, projections, theta = _build_primal(D, E, t, p.lam, p.w, v, p.ztol)
@@ -779,7 +769,7 @@ def solve_penalized(
     elif alpha > 0.0 and f + t_best > 1e-300:
         lam_star = alpha / (2.0 * q)
     if lam_star is not None:
-        candidates.append(neg_projections(D + lam_star * E)[0])
+        candidates.append(neg_part(*np.linalg.eigh(D + lam_star * E)))
     proj, cur = extract_projection(candidates, _objective(dc, alpha, offset, lam_bar))
     value = min(val + offset, cur)
     return ProgramSolution(

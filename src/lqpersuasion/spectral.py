@@ -1,9 +1,8 @@
-"""Dense symmetric-matrix primitives shared by every solver.
-
-All solvers in this package reduce to eigendecompositions of small dense
-symmetric matrices, projections onto negative eigenspaces, and PSD square
-roots.  Centralizing them here fixes one deterministic sign convention and
-one zero-classification tolerance for the whole package.
+"""Dense symmetric-matrix primitives: sorted, sign-fixed eigendecompositions,
+negative-eigenspace projections (from any eigenbasis, so a raw ``eigh``
+will do) and PSD square roots.  Each reads one decomposition of its matrix,
+whose eigenvalues also give the zero band 1e-9 * (1 + max|w|).  The trace
+oracle in ``programs`` keeps bands of its own (1e-12, 1e-13 and 1e-10).
 """
 
 from __future__ import annotations
@@ -28,17 +27,10 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(sym(a)))))
-
-
-def default_zero_tol(a: np.ndarray) -> float:
-    """Relative zero-classification band: 1e-9 * (1 + ||A||_2)."""
-    return 1e-9 * (1.0 + spectral_norm(a))
+def default_zero_tol(w: np.ndarray) -> float:
+    """Relative zero-classification band of a symmetric matrix with
+    eigenvalues ``w``: 1e-9 * (1 + ||A||_2)."""
+    return 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
 
 
 def _check_square_finite(a: np.ndarray) -> np.ndarray:
@@ -68,28 +60,25 @@ def eig_sym(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=v)
 
 
-def neg_projections(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projections onto the negative and non-positive eigenspaces of ``a``.
+def neg_part(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection onto the span of the eigenvectors (columns of ``v``) whose
+    eigenvalue in ``w`` is below -default_zero_tol(w).  Any orthonormal
+    eigenbasis gives the same projection, so a raw ``eigh`` will do."""
+    u = v[:, w < -default_zero_tol(w)]
+    return u @ u.T
 
-    Returns ``(P_lt, P_le)`` where ``P_lt`` projects onto the span of
-    eigenvectors with eigenvalue < -zero_tol and ``P_le`` onto the span with
-    eigenvalue <= zero_tol, zero_tol = 1e-9 * (1 + ||a||_2).  Always
-    ``P_lt <= P_le`` in the Loewner order.
-    """
-    w, v = eig_sym(a)
-    zero_tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
-    vlt = v[:, w < -zero_tol]
-    vle = v[:, w <= zero_tol]
-    p_lt = vlt @ vlt.T
-    p_le = vle @ vle.T
-    return sym(p_lt), sym(p_le)
+
+def neg_projections(a: np.ndarray) -> np.ndarray:
+    """Projection ``P_lt`` onto the span of the eigenvectors of ``a`` with
+    eigenvalue < -1e-9 * (1 + ||a||_2)."""
+    return neg_part(*np.linalg.eigh(sym(_check_square_finite(a))))
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; negative eigenvalues within
     1e-9 * (1 + ||a||_2) of zero are clipped."""
     w, v = eig_sym(a)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    tol = default_zero_tol(w)
     if w.size and float(w[-1]) < -tol:
         raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} < -{tol:.3e}")
     return sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)

@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from lqpersuasion import cli, instance, neg_projections, programs
+from conftest import random_psd, random_sym
+from lqpersuasion import cli, instance, programs
 from lqpersuasion.demo import BENCH3_D, BENCH3_E, BENCH3_Q, bench3_form, bench3_hypothesis
-from lqpersuasion.errors import NumericalFailure
+from lqpersuasion.errors import NumericalFailure, OracleDiverged
 
 
-def _bench_instance(tmp_path, eps=1.0, name="bench.json"):
+def _bench_doc(eps=1.0, **fields) -> str:
+    """The bench3 instance file at scale eps, with ``fields`` replaced."""
     doc = {
         "schema_version": "1",
         "n": 3,
@@ -18,8 +20,12 @@ def _bench_instance(tmp_path, eps=1.0, name="bench.json"):
         "hypothesis": {"scaled_identity": eps},
         "prior": {"family": "gaussian", "n": 3},
     }
+    return json.dumps({**doc, **fields})
+
+
+def _bench_instance(tmp_path, eps=1.0, name="bench.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(_bench_doc(eps), encoding="utf-8")
     return str(path)
 
 
@@ -91,6 +97,45 @@ def test_solve_output_is_byte_identical(tmp_path):
     assert b"\r" not in outs[0]  # LF only
 
 
+@pytest.mark.parametrize(
+    "kind", ["matrix", "wasserstein", "costly_update", "mismatched_prior", "affine_distortion"]
+)
+def test_solve_raw_game_under_each_hypothesis(tmp_path, kind):
+    # a raw game reduced by decompose_nonneg, under each hypothesis kind of the
+    # file format: the written coefficients are derive_coefficients' on the
+    # hypothesis the library builder makes from the same parameters
+    rng = np.random.default_rng(21)
+    a, w = rng.normal(size=(6, 6)), rng.normal(size=6)
+    game = instance.RawGame(n=3, k=3, M=a.T @ a, p=2.0 * a.T @ w, q=float(w @ w),
+                            B=rng.normal(size=(3, 3)), b=rng.normal(size=3))
+    c = rng.normal(size=(3, 3))
+    r21 = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    r = np.block([[np.eye(3), r21.T], [r21, r21 @ r21.T + np.eye(3)]])
+    params, hyp = {
+        "matrix": (c.tolist(), instance.EllipsoidalHypothesis(C=c)),
+        "wasserstein": ({"epsilon": 0.7}, instance.hypothesis_wasserstein(0.7, 3)),
+        "costly_update": ({"R": r.tolist(), "epsilon": 0.5},
+                          instance.hypothesis_costly_update(r, 3, 0.5)),
+        "mismatched_prior": ({"epsilon": 0.3, "trace_sigma_bound": 2.0},
+                             instance.hypothesis_mismatched_prior(0.3, 3, 2.0)),
+        "affine_distortion": ({"chi": 0.25, "epsilon": 1.2},
+                              instance.hypothesis_affine_distortion(0.25, 1.2, 3)),
+    }[kind]
+    raw = {"k": 3, "M": game.M.tolist(), "p": game.p.tolist(), "q": game.q,
+           "B": game.B.tolist(), "b": game.b.tolist()}
+    path, out = tmp_path / "raw.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"schema_version": "1", "n": 3, "raw": raw,
+                                "hypothesis": {kind: params}}), encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    want = instance.derive_coefficients(instance.decompose_nonneg(game), hyp)
+    for key in ("D", "E", "f", "c", "lambda_bar", "lambda_bar_2", "t_bar"):
+        x = np.asarray(getattr(want, key))
+        np.testing.assert_allclose(doc["coefficients"][key], x, rtol=1e-12,
+                                   atol=1e-12 * (1.0 + np.abs(x).max()), err_msg=key)
+    assert len(doc["results"]) == 5
+
+
 # --------------------------------------------------------------------------
 # sweep
 # --------------------------------------------------------------------------
@@ -99,35 +144,28 @@ def test_solve_output_is_byte_identical(tmp_path):
 def test_solve_derives_and_decomposes_d_once(tmp_path, monkeypatch):
     # the instance is derived once, at its unit hypothesis; the programs, the
     # default rho and the no-information threshold all read that system's
-    # record, which holds one eigendecomposition and one spectrum of D
+    # record, whose one eigendecomposition of D gives its spectrum and the
+    # BP projection
     inst_path = _bench_instance(tmp_path)
     d = instance.derive_coefficients(bench3_form(), bench3_hypothesis(1.0)).D
     derive = [0]
-    proj = [0]
-    spectra = [0]
+    splits = [0]
     derive_orig = instance.derive_coefficients
-    eigvalsh_orig = np.linalg.eigvalsh
 
     def counting_derive(*args, **kwargs):
         derive[0] += 1
         return derive_orig(*args, **kwargs)
 
-    def counting_proj(a):
-        proj[0] += np.array_equal(a, d)
-        return neg_projections(a)
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        spectra[0] += np.array_equal(a, d)
-        return eigvalsh_orig(a, *args, **kwargs)
-
     monkeypatch.setattr(instance, "derive_coefficients", counting_derive)
-    for module in (programs, instance):
-        if hasattr(module, "neg_projections"):
-            monkeypatch.setattr(module, "neg_projections", counting_proj)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            splits[0] += np.array_equal(a, d)
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     rc = cli.main(["solve", "--instance", inst_path, "--out", str(tmp_path / "all.json")])
     assert rc == 0
-    assert (derive[0], proj[0], spectra[0]) == (1, 1, 1)
+    assert (derive[0], splits[0]) == (1, 1)
 
 
 def test_solve_matches_one_step_sweep(tmp_path):
@@ -362,6 +400,19 @@ def test_example_bad_input_exit_code(tmp_path, capsys, args):
                 "hypothesis": {"unknown_kind": 1.0},
             }
         ),
+        # a field of the wrong JSON type, each in an otherwise valid bench3 file
+        _bench_doc(reduced={"Q": BENCH3_Q.tolist(), "r": "abc"}),
+        _bench_doc(reduced={"Q": BENCH3_Q.tolist(), "r": [1]}),
+        _bench_doc(hypothesis={"scaled_identity": "x"}),
+        _bench_doc(hypothesis={"wasserstein": 0.5}),
+        _bench_doc(prior={"family": "gaussian", "n": "x"}),
+        _bench_doc(prior=["family", "gaussian"]),
+        _bench_doc(reduced="Q"),
+        _bench_doc(hypothesis={"mismatched_prior": {"epsilon": 0.5, "trace_sigma_bound": "x"}}),
+        # read as n = 1, this one-dimensional instance would solve
+        json.dumps({"schema_version": "1", "n": True,
+                    "reduced": {"Q": [[4.0, -2.0], [-2.0, 1.0]]},
+                    "hypothesis": {"scaled_identity": 1.0}}),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, doc):
@@ -439,6 +490,34 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     rc = cli.main(["solve", "--instance", inst, "--program", "bp"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_oracle_step_budget_fails_typed(tmp_path, capsys, monkeypatch):
+    # an oracle call that spends its step budget inside a segment returns its
+    # last probe, whose duality gap fails the certificate: OracleDiverged, and
+    # the CLI exits 3
+    monkeypatch.setattr(programs, "_MAX_STEPS", 1)
+    rng = np.random.default_rng(0)
+    d, e = random_sym(rng, 6), random_psd(rng, 6)
+    with pytest.raises(OracleDiverged, match="duality gap"):
+        programs.h_eq(d, e, 0.1 * float(np.trace(e)))
+    rc = cli.main(["solve", "--instance", _bench_instance(tmp_path), "--program", "pp",
+                   "--out", str(tmp_path / "pp.json")])
+    assert rc == 3
+    assert "duality gap" in capsys.readouterr().err
+
+
+def test_search_evaluation_budget_fails_typed(tmp_path, capsys, monkeypatch):
+    # a penalized search that needs an evaluation past its budget raises
+    # NumericalFailure, and the CLI exits 3
+    monkeypatch.setattr(programs, "_MAX_EVALS", 0)
+    dc = instance.derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    with pytest.raises(NumericalFailure, match="evaluation budget"):
+        programs.solve_pp(dc)
+    rc = cli.main(["solve", "--instance", _bench_instance(tmp_path), "--program", "pp",
+                   "--out", str(tmp_path / "pp.json")])
+    assert rc == 3
+    assert "evaluation budget" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

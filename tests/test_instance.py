@@ -109,6 +109,30 @@ def test_raw_game_validation():
         RawGame(n=1, k=1, M=np.eye(3), p=np.zeros(2), q=0.0, B=np.eye(1), b=np.zeros(1))
 
 
+def test_ingestion_decomposes_each_matrix_once(monkeypatch):
+    # each check reads its zero band from the spectrum it already took:
+    # QuadraticForm decomposes Q once, decompose_nonneg adds the split of its
+    # pseudoinverse, and hypothesis_costly_update takes a spectrum and a
+    # square root of R22
+    calls = [0]
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+            calls[0] += 1
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    g = _random_nonneg_raw_game(np.random.default_rng(13), 3, 2)
+    qf = decompose_nonneg(g)
+    assert calls[0] == 2
+    calls[0] = 0
+    QuadraticForm(n=3, Q=qf.Q, l=qf.l, r=qf.r)
+    assert calls[0] == 1
+    calls[0] = 0
+    eye = np.eye(3)
+    hypothesis_costly_update(np.block([[eye, eye], [eye, 2.0 * eye]]), 3, 0.5)
+    assert calls[0] == 2
+
+
 # --------------------------------------------------------------------------
 # coefficient derivation
 # --------------------------------------------------------------------------
