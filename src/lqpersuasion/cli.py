@@ -160,6 +160,15 @@ def _np(x, where: str) -> np.ndarray:
     return a
 
 
+def _square(x, where: str, size: int, dim: str) -> np.ndarray:
+    """Field ``where`` as a size x size matrix (``dim`` names size); read
+    before any default sized from n, which a huge integral n overflows."""
+    a = _np(x, where)
+    if a.shape != (size, size):
+        raise InstanceFileError(f"field {where} has shape {a.shape}, not ({dim}, {dim})")
+    return a
+
+
 def parse_instance(path: str):
     """Read an instance file; returns (QuadraticForm, hypothesis, PriorSpec)."""
     try:
@@ -187,7 +196,7 @@ def parse_instance(path: str):
         red = _obj(doc["reduced"], "field 'reduced'")
         qf = inst.QuadraticForm(
             n=n,
-            Q=_np(_req(red, "Q", "reduced"), "reduced.Q"),
+            Q=_square(_req(red, "Q", "reduced"), "reduced.Q", 2 * n, "2n"),
             l=_np(red.get("l", [0.0] * (2 * n)), "reduced.l"),
             r=_num(red.get("r", 0.0), "reduced.r"),
         )
@@ -196,7 +205,7 @@ def parse_instance(path: str):
         k = int(_num(_req(rg, "k", "raw"), "raw.k", integer=True))
         game = inst.RawGame(
             n=n, k=k,
-            M=_np(_req(rg, "M", "raw"), "raw.M"),
+            M=_square(_req(rg, "M", "raw"), "raw.M", n + k, "n+k"),
             p=_np(rg.get("p", [0.0] * (n + k)), "raw.p"),
             q=_num(rg.get("q", 0.0), "raw.q"),
             B=_np(_req(rg, "B", "raw"), "raw.B"),

@@ -294,15 +294,17 @@ class DerivedCoefficients:
     negative eigenspace is where the penalty-free optimum sits.
 
     ``pencil`` is the spectral record of (D, E) that every program and
-    structural check solved on these coefficients reads: the BP projection,
-    the eigenvalues and norms of D and E, the pencil eigenvalues and the
-    trace-oracle values evaluated so far.  ``scaled(s)`` multiplies E, f and
-    the lambda_bars by s^2, so its oracle is h_s(t) = h(t/s^2): the scaled
-    object shares its ``unit`` system's record and carries the cumulative
-    factor ``scale``, and the searches on it run in the unit system's
-    coordinates.  The CLI derives every instance once, at its unit
-    hypothesis C0, and solves C = eps*C0 on ``scaled(eps)``.  ``replace``
-    returns a new unit system with its own record.
+    structural check solved on these coefficients reads, built on first use:
+    the BP projection, the eigenvalues and norms of D and E, the pencil
+    eigenvalues and the trace-oracle values evaluated so far.  ``scaled(s)``
+    multiplies E, f and the lambda_bars by s^2, so its oracle is
+    h_s(t) = h(t/s^2): the scaled object shares its ``unit`` system's record
+    and carries the cumulative factor ``scale``, and the searches on it run in
+    the unit system's coordinates.  ``t_bar`` is not stored: it is read from
+    the record and scaled, scale^2 * pencil.t_bar.  The CLI derives every
+    instance once, at its unit hypothesis C0, and solves C = eps*C0 on
+    ``scaled(eps)``.  ``replace`` returns a new unit system with its own
+    record.
     """
 
     n: int
@@ -312,7 +314,6 @@ class DerivedCoefficients:
     c: float
     lambda_bar: float
     lambda_bar_2: float
-    t_bar: float
     # set by ``scaled``: the factor mapping the unit system here, and the
     # unit system itself (None for a unit system)
     scale: float = field(default=1.0, init=False, repr=False, compare=False)
@@ -333,6 +334,11 @@ class DerivedCoefficients:
 
         return _Pencil(self.D, self.E)
 
+    @property
+    def t_bar(self) -> float:
+        # "+ 0.0" turns -0.0 into 0.0, as ``scaled`` does for the other fields
+        return self.scale * self.scale * self.pencil.t_bar + 0.0
+
     def scaled(self, s: float) -> "DerivedCoefficients":
         """Coefficients for the homothetically scaled hypothesis C <- s*C."""
         if not (math.isfinite(s) and s >= 0.0):
@@ -348,7 +354,6 @@ class DerivedCoefficients:
             f=s2 * self.f + 0.0,
             lambda_bar=s2 * self.lambda_bar + 0.0,
             lambda_bar_2=s2 * self.lambda_bar_2 + 0.0,
-            t_bar=s2 * self.t_bar + 0.0,
         )
         object.__setattr__(out, "scale", self.scale * s)
         object.__setattr__(out, "_unit", self.unit)
@@ -374,27 +379,14 @@ def derive_coefficients(
     qf: QuadraticForm, hyp: EllipsoidalHypothesis
 ) -> DerivedCoefficients:
     """Derive the full coefficient system from a reduced game and hypothesis."""
-    from .programs import _Pencil  # local import avoids a cycle
-
     d, c, a, qm, fvec = _coefficient_terms(qf, hyp)
     e = sym(4.0 * a @ a.T)
     w = np.linalg.eigvalsh(qm)
     lambda_bar = float(w[-1]) if w.size else 0.0
     lambda_bar_2 = float(w[-2]) if w.size > 1 else 0.0
     f = 4.0 * float(fvec @ fvec)
-    pen = _Pencil(d, e)
-    dc = DerivedCoefficients(
-        n=qf.n,
-        D=d,
-        E=e,
-        f=f,
-        c=c,
-        lambda_bar=lambda_bar,
-        lambda_bar_2=lambda_bar_2,
-        t_bar=pen.t_bar,
-    )
-    object.__setattr__(dc, "pencil", pen)  # the record t_bar was read from
-    return dc
+    return DerivedCoefficients(n=qf.n, D=d, E=e, f=f, c=c, lambda_bar=lambda_bar,
+                               lambda_bar_2=lambda_bar_2)
 
 
 # --------------------------------------------------------------------------

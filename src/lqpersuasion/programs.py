@@ -19,8 +19,9 @@ supergradient interval is delimited by the traces of E against the
 negative/non-positive eigenprojections of D + lam*E.  The supergradient
 g(lam) = Tr(E P_neg(D + lam*E)) is nonincreasing; it jumps only at the real
 generalized eigenvalues of the pencil (D, -E) and is smooth between two of
-them, so the multiplier is found by a binary search over those eigenvalues
-followed by safeguarded Newton steps on g(lam) = t with the exact slope.
+them.  The multiplier is found inside a finite bracket from weak duality
+(see ``_multiplier``) by a binary search over those eigenvalues followed by
+safeguarded Newton steps on g(lam) = t with the exact slope.
 The primal optimum is an interpolation of the two projections, which yields
 a duality-gap certificate without any external SDP solver.
 
@@ -321,9 +322,8 @@ class _Probe:
         return p
 
 
-# probes inside one segment (Newton steps, bisections and the step doublings
-# on an unbounded end segment); bisection alone reaches float resolution
-# from any finite bracket in fewer
+# probes inside one segment (Newton steps and bisections); bisection alone
+# reaches float resolution from any finite bracket in fewer
 _MAX_STEPS = 100
 
 
@@ -338,10 +338,20 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
     g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0
     (zero when D and E commute).  A binary search over the sorted jumps finds
     the jump or the open segment that contains t; safeguarded Newton on g - t
-    finishes inside the segment.
+    and bisection finish inside the segment.
+
+    The search starts from a finite bracket given by weak duality.  For
+    0 < t < Tr E, X = I gives phi(lam) <= Tr D + lam*(Tr E - t) and X = 0
+    gives phi(lam) <= -lam*t; both fall below phi(0) = sum min(eig D, 0)
+    outside [-sum max(eig D, 0)/(Tr E - t), sum max(-eig D, 0)/t], so every
+    maximizer lies inside it.  Its ends are widened for rounding by adding
+    1e-9*(1 + |D|) to both sums.  An end of the bracket bounds a segment only
+    where no jump lies beyond it: never for a nonsingular E, whose jumps
+    reach g = Tr E and g = 0, and for a singular E the bracket is finite as
+    ``h_eq`` keeps t at least 1e-9*Tr E from both trace ends.
 
     Every call on one pencil probes the same jumps and the same first
-    bisection of each segment, so each probe is read from ``pen.probes``
+    bisection of each inner segment, so each probe is read from ``pen.probes``
     and only a multiplier probed for the first time costs an eigensolve.
     The eigenvectors are never kept past the next probe; an entry from an
     earlier call gets them back, for its slope or for the accepted primal,
@@ -392,12 +402,14 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
         miss = max(p.g_lo - t, t - p.g_hi)
         return miss * abs(p.lam) <= gap_tol and miss <= 1e-9 * trE
 
-    jumps = pen.jumps if pen.jumps.size else np.zeros(1)
-    lo, hi = -math.inf, math.inf  # g(lo) > t > g(hi): the multiplier is inside
-    i, j = 0, jumps.size
+    pad = 1e-9 * (1.0 + pen.normD)
+    # the weak-duality bracket: g(lo) > t > g(hi)
+    lo = -(float(np.sum(np.maximum(pen.eigD, 0.0))) + pad) / (trE - t)
+    hi = (pad - float(np.sum(np.minimum(pen.eigD, 0.0)))) / t
+    i, j = 0, pen.jumps.size
     while i < j:
         k = (i + j) // 2
-        p = probe(float(jumps[k]))
+        p = probe(float(pen.jumps[k]))
         if accepted(p):
             return done(p)
         # t inside this jump, whose crossing eigenvalue rounding pushed out
@@ -412,25 +424,18 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
         else:
             hi, j = p.lam, k
 
-    # t lies inside the smooth segment (lo, hi); at least one end is finite.
-    # Bisection halves asinh(lam/scale): the arithmetic midpoint near the
-    # natural multiplier scale |D|/|E|, the geometric one far beyond it, where
-    # the jumps of a nearly singular E or D_KK sit
+    # t lies inside the smooth segment (lo, hi).  Bisection halves
+    # asinh(lam/scale): the arithmetic midpoint near the natural multiplier
+    # scale |D|/|E|, the geometric one far beyond it, where the jumps of a
+    # nearly singular E or D_KK sit
     scale = pen.normD / pen.normE or 1.0
 
     def bisect() -> float:
         mid = scale * math.sinh(0.5 * (math.asinh(lo / scale) + math.asinh(hi / scale)))
         return mid if lo < mid < hi else 0.5 * (lo + hi)
 
-    if math.isinf(lo):
-        step = scale + abs(hi)
-        lam = hi - step
-    elif math.isinf(hi):
-        step = scale + abs(lo)
-        lam = lo + step
-    else:
-        step = hi - lo
-        lam = bisect()
+    step = hi - lo
+    lam = bisect()
     for _ in range(_MAX_STEPS):
         p = probe(lam)
         if accepted(p):
@@ -439,25 +444,15 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
             lo = lam
         else:
             hi = lam
-        bounded = math.isfinite(lo) and math.isfinite(hi)
-        if bounded and hi - lo <= 4e-16 * (1.0 + abs(lo) + abs(hi)):
+        if hi - lo <= 4e-16 * (1.0 + abs(lo) + abs(hi)):
             break
-        nxt = None
-        if p.g_lo == p.g_hi:  # no eigenvalue in the zero band: g is smooth here
-            s = slope(p)
-            if s < 0.0:
-                nxt = lam - (p.g_lo - t) / s
-                # rtsafe safeguard: a Newton step must at least halve the
-                # previous one, so the bracket shrinks geometrically
-                if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * step):
-                    nxt = None
-        if nxt is None:
-            if bounded:
-                nxt = bisect()
-            else:
-                # unbounded end segment: the probe just moved the finite end,
-                # so step twice as far away from it
-                nxt = lam + (2.0 * step if math.isinf(hi) else -2.0 * step)
+        # Newton where g is smooth (no eigenvalue in the zero band), with the
+        # rtsafe safeguard: a step must stay inside the bracket and at least
+        # halve the previous one, so the bracket shrinks geometrically
+        s = slope(p) if p.g_lo == p.g_hi else 0.0
+        nxt = lam - (p.g_lo - t) / s if s < 0.0 else math.nan
+        if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * step):
+            nxt = bisect()
         step = abs(nxt - lam)
         lam = nxt
     else:

@@ -250,12 +250,10 @@ def test_a10_no_information_and_scale_invariance():
         D = random_psd(rng, n)
         E = random_psd(rng, n) + 0.1 * np.eye(n)
         w = np.linalg.eigvalsh(E)
-        p_neg = np.zeros((n, n))  # D is PSD, so the negative eigenspace is empty
         dc = DerivedCoefficients(
             n=n, D=D, E=E,
             f=float(rng.uniform(0.0, 2.0)), c=float(rng.uniform(-5.0, 5.0)),
             lambda_bar=float(w[-1]), lambda_bar_2=float(w[-2]),
-            t_bar=float(np.sum(E * p_neg)),
         )
         psn = prior_stats(PriorSpec("gaussian", n))
         for sol in (

@@ -413,6 +413,15 @@ def test_example_bad_input_exit_code(tmp_path, capsys, args):
         json.dumps({"schema_version": "1", "n": True,
                     "reduced": {"Q": [[4.0, -2.0], [-2.0, 1.0]]},
                     "hypothesis": {"scaled_identity": 1.0}}),
+        # a huge integral n or k: Q's or M's shape is checked against it
+        # before a default sized from it (l, p, b) is built
+        _bench_doc(n=1e300, reduced={"Q": BENCH3_Q.tolist()}),
+        json.dumps({"schema_version": "1", "n": 1e300,
+                    "raw": {"k": 3, "M": np.eye(6).tolist(), "B": np.eye(3).tolist()},
+                    "hypothesis": {"scaled_identity": 1.0}}),
+        json.dumps({"schema_version": "1", "n": 3,
+                    "raw": {"k": 1e300, "M": np.eye(6).tolist(), "B": np.eye(3).tolist()},
+                    "hypothesis": {"scaled_identity": 1.0}}),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, doc):

@@ -57,6 +57,11 @@ def test_h_eq_diagonal_closed_form():
         assert float(np.sum(e * res.X)) == pytest.approx(t, abs=1e-8)
 
 
+# D's block on ker E is 0 and D couples it to range E: the pencil (D, -E) has
+# no finite eigenvalue, so g never jumps and h(t) = -2*sqrt(t*(1 - t))
+_JUMP_FREE = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
+
+
 def _oracle_fuzz_cases(rng):
     for trial in range(60):
         n = int(rng.integers(2, 6))
@@ -74,6 +79,15 @@ def _oracle_fuzz_cases(rng):
         yield (q * w) @ q.T, np.eye(n)
     for _ in range(3):
         yield random_sym(rng, 20), random_psd(rng, 20, rank=1)
+    yield _JUMP_FREE
+
+
+def _weak_duality_bracket(d, e, t):
+    """The interval that holds every dual multiplier of h(t), 0 < t < Tr E:
+    outside it, the dual bounds of X = I and X = 0 fall below phi(0)."""
+    w = np.linalg.eigvalsh(d)
+    trE = float(np.trace(e))
+    return -float(np.sum(np.maximum(w, 0.0))) / (trE - t), float(np.sum(np.maximum(-w, 0.0))) / t
 
 
 def test_h_eq_primal_dual_and_feasibility_fuzz():
@@ -84,6 +98,9 @@ def test_h_eq_primal_dual_and_feasibility_fuzz():
         for q in (0.0, 1e-6, 0.3, 0.7, 1.0 - 1e-6, 1.0):
             for s in (1.0, 1e-4, 1e-8):
                 res = h_eq(d, s * e, s * q * trE)
+                if 0.0 < s * q * trE < float(np.trace(s * e)):
+                    lo, hi = _weak_duality_bracket(d, s * e, s * q * trE)
+                    assert lo <= res.lambda_dual <= hi
                 w = np.linalg.eigvalsh(res.X)
                 assert w.min() > -1e-9 and w.max() < 1.0 + 1e-9
                 assert float(np.sum(s * e * res.X)) == pytest.approx(
@@ -118,6 +135,16 @@ def _assert_interpolates_projections(res):
     theta = float(np.sum((res.X - p_lt) * step)) / den if den > 0.0 else 0.0
     assert -1e-12 <= theta <= 1.0 + 1e-12
     assert np.abs(res.X - (p_lt + theta * step)).max() <= 1e-12
+
+
+def test_h_eq_jump_free_pencil():
+    d, e = _JUMP_FREE
+    pen = programs._Pencil(d, e)
+    assert pen.jumps.size == 0
+    tol = 1e-9 * (1.0 + pen.normD + pen.normE)  # h_eq's default
+    for t in (1e-6, 0.3, 0.7, 1.0 - 1e-6):
+        res = h_eq(d, e, t, pencil=pen)
+        assert abs(res.value - -2.0 * math.sqrt(t * (1.0 - t))) <= tol, t
 
 
 def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
@@ -166,6 +193,8 @@ def _memo_pair(case):
         ed = rng.uniform(0.2, 2.0, 8)
         ed[::3] = 0.0
         return np.diag(rng.normal(size=8)), np.diag(ed)
+    if case == "jump-free":
+        return _JUMP_FREE
     # rank-one E with D = 2E - I: every target lies inside the one true jump.
     # At |u|^2 ~ 1e4 the entries of D + lam*E cancel at the jump with a
     # rounding error beyond the zero band, which pushes the crossing
@@ -175,7 +204,7 @@ def _memo_pair(case):
     return 2.0 * e - np.eye(100), e
 
 
-@pytest.mark.parametrize("case", ["bench3", "n30", "commuting", "rank-one"])
+@pytest.mark.parametrize("case", ["bench3", "n30", "commuting", "jump-free", "rank-one"])
 def test_h_eq_probe_memo_is_exact(monkeypatch, case):
     # the calls on one pencil read the probes of the earlier calls from its
     # memo; each result must be bitwise the one a fresh pencil computes
@@ -193,8 +222,10 @@ def test_h_eq_probe_memo_is_exact(monkeypatch, case):
                      (g.lambda_dual, want.lambda_dual), (g.X, want.X)):
             assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
     # the shared calls did read entries of earlier calls: fewer multipliers
-    # than the fresh pencils eigensolved
-    assert len(shared.probes) < eigh[0], (len(shared.probes), eigh[0])
+    # than the fresh pencils eigensolved.  Without jumps every probe lies in
+    # a segment bounded by its own t's weak-duality bracket, so none is shared
+    if case != "jump-free":
+        assert len(shared.probes) < eigh[0], (len(shared.probes), eigh[0])
     if case == "rank-one":
         assert widened[0] > 0
 
@@ -290,7 +321,7 @@ def test_pp_certified_with_nearly_singular_e():
     # projection diag(0, 1); it needs the oracle inside the endpoint band
     dc = instance.DerivedCoefficients(
         n=2, D=np.diag([1.0, -1.0]), E=np.diag([1.0, 1e-10]), f=0.0, c=0.0,
-        lambda_bar=0.0, lambda_bar_2=0.0, t_bar=1e-10,
+        lambda_bar=0.0, lambda_bar_2=0.0,
     )
     sol = solve_pp(dc, rho=1e-6)
     assert -0.99999 - 1e-12 <= sol.value <= -0.99999 + sol.rho + 1e-12
@@ -611,20 +642,20 @@ def test_signaling_profitable_extremes():
     # strongly negative D with a tiny penalty: signaling provably helps
     dc_good = DerivedCoefficients(
         n=3, D=-100.0 * np.eye(3), E=np.diag([0.1, 0.05, 0.01]), f=0.0, c=0.0,
-        lambda_bar=1.0, lambda_bar_2=0.5, t_bar=0.16,
+        lambda_bar=1.0, lambda_bar_2=0.5,
     )
     assert bool(signaling_profitable(dc_good))
     # barely negative D with a huge penalty: the sufficient test says nothing
     dc_weak = DerivedCoefficients(
         n=3, D=-0.01 * np.eye(3), E=1000.0 * np.eye(3), f=0.0, c=0.0,
-        lambda_bar=1.0, lambda_bar_2=0.5, t_bar=3000.0,
+        lambda_bar=1.0, lambda_bar_2=0.5,
     )
     check_weak = signaling_profitable(dc_weak)
     assert check_weak.applicable and not check_weak.profitable
     # degenerate top eigenvalue: the test declares itself inapplicable
     dc_flat = DerivedCoefficients(
         n=2, D=-np.eye(2), E=np.eye(2), f=0.0, c=0.0,
-        lambda_bar=1.0, lambda_bar_2=1.0, t_bar=2.0,
+        lambda_bar=1.0, lambda_bar_2=1.0,
     )
     check = signaling_profitable(dc_flat)
     assert not check.applicable and not check.profitable
@@ -646,13 +677,13 @@ def test_pessimistic_noinfo_threshold_degenerate():
     # D >= 0: revealing nothing is already optimal at every scale
     dc_psd = DerivedCoefficients(
         n=2, D=np.eye(2), E=np.eye(2), f=0.0, c=0.0,
-        lambda_bar=1.0, lambda_bar_2=1.0, t_bar=0.0,
+        lambda_bar=1.0, lambda_bar_2=1.0,
     )
     assert pessimistic_noinfo_threshold(dc_psd) == 0.0
     # singular E: no scale of the family makes the sufficient condition hold
     dc_singular = DerivedCoefficients(
         n=2, D=-np.eye(2), E=np.diag([1.0, 0.0]), f=0.0, c=0.0,
-        lambda_bar=1.0, lambda_bar_2=0.0, t_bar=1.0,
+        lambda_bar=1.0, lambda_bar_2=0.0,
     )
     assert pessimistic_noinfo_threshold(dc_singular) == math.inf
 
