@@ -31,26 +31,30 @@ psi(t) = lb*max_b [(1-b^2) + b*k*sqrt(f+t)/lb], which is linear in t below
 t_check = 4*lb^2/k^2 - f and k*sqrt(f+t) above it, with equal slopes at
 t_check.  So every psi is concave and nondecreasing, and PP, POP and SPOP
 differ only in their weights (alpha, offset, lb): PP (1, c + lb, 0), POP
-(bb*k, c + (1-bb^2) lb, 0) and SPOP (k, c, lb).  h is convex and
-nonincreasing on [0, t_bar], so on any interval [a, b] the bound
-min j >= h(b) + psi(a) holds, and every oracle call's dual value and
-multiplier give a tangent minorant of h by weak duality; a best-first
-interval subdivision driven by those bounds terminates with a certificate
-that the returned value is within ``rho`` of the true minimum.
+(bb*k, c + (1-bb^2) lb, 0) and SPOP (k, c, lb).  h is convex, piecewise
+smooth and nonincreasing on [0, t_bar], so j is concave on every linear
+piece of h, and its minimum lies at a projection: the search runs over the
+multiplier, not the trace.  A probe of D + lam*E (lam >= 0) gives two points
+of the graph of h, the traces and values of P_lt and P_le, and the minorant
+h(s) >= c(lam) - lam*s of weak duality, c(lam) = sum min(mu_i, 0); a gap
+between two points is refined by a probe at its chord slope (the sandwich
+step of Burkard, Hamacher and Rote, Naval Res. Logistics 38, 1991), and the
+search stops with a certificate that the best point is within ``rho`` of
+the true minimum.  The returned Sigma is that point's projection.
 
 The three programs so minimize over the same h of the same (D, E): the
 programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
-one BP projection, one set of pencil eigenvalues, one oracle evaluation per
-distinct t and one eigensolve per distinct multiplier probed.  The record
-keeps an O(n) summary of each probe (the eigenvalues, the diagonal of E in
-their eigenbasis and, once computed, the slope of g), not its
-eigenvectors: an oracle call that accepts a probe of an earlier call solves
-it once more.  Each oracle result keeps the nested projections its X
-interpolates, which every program that rounds it scores as candidates.  A
-homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
-is h_eps(t) = h_1(t/eps^2): ``dc.scaled(eps)`` reads the record of the unit
-system, and its searches minimize h_1(s) + psi in unit coordinates
-s = t/eps^2, so that a whole sweep shares one record.
+one BP projection, one set of pencil eigenvalues, one closed form at t = 0
+and one eigensolve per distinct multiplier probed.  The record keeps an
+O(n) summary of each probe (the eigenvalues, the diagonal of E in their
+eigenbasis, the traces and values of its two projections and, once
+computed, the slope of g), not its eigenvectors, and the tree of gaps the
+searches have refined: a chord slope depends on h alone, so every program
+descends the same tree.  A homothetic rescaling multiplies E, f and
+lambda_bar by eps^2, so its oracle is h_eps(t) = h_1(t/eps^2):
+``dc.scaled(eps)`` reads the record of the unit system, and its searches
+minimize h_1(s) + psi in unit coordinates s = t/eps^2, so that a whole
+sweep shares one record.
 """
 
 from __future__ import annotations
@@ -85,10 +89,9 @@ class HOracleResult:
     eigenprojections of D + lambda_dual*E (one array twice when no
     eigenvalue sits in the zero band), with X = P_lt + theta*(P_le - P_lt),
     or (X,) where X is itself a projection (the endpoint closed forms and the
-    BP result).  ``extract_projection`` scores them as rounding candidates, so
-    no program decomposes X.  X itself is rebuilt from them on first read,
-    by the expression the oracle evaluated: a record keeps X only for the
-    results that a program returns.
+    BP result).  X itself is rebuilt from them on first read, by the
+    expression the oracle evaluated.  The penalized programs read one result
+    per record, the closed form at t = 0 (``_Pencil.ends``).
     """
 
     t: float
@@ -109,15 +112,11 @@ class HOracleResult:
 class ProgramSolution:
     """Solution record of one program.
 
-    ``Sigma`` is the solver's covariance argument (possibly an interpolation
-    of two projections), ``projection`` the best of the candidate
-    projections (for a penalized program: 0, the projections that Sigma
-    interpolates and the stationarity projection), ``rank`` the rank of that
-    projection, and ``rho`` the certified suboptimality of ``value`` (0 for
-    exactly solved programs).
-    A penalized program's value is the smaller of the search's value and the
-    projection's objective: within ``rho`` of the optimum, but not always
-    the objective of a returned matrix.
+    ``projection`` is the program's minimal-rank projective solution,
+    ``rank`` its rank, and ``rho`` the certified suboptimality of ``value``
+    (0 for exactly solved programs).  Every program's ``Sigma`` is its
+    ``projection``, the same array, and ``value`` is that projection's
+    objective.
     """
 
     program: str
@@ -166,23 +165,23 @@ def _build_primal(D, E, t, lam, w, v, ztol):
 
 
 class _Pencil:
-    """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call on
-    the same pair: the symmetrized matrices, Tr E, the spectrum and norm of D
-    and the projection onto its negative eigenspace (the BP optimum), all
-    from one ``eigh`` of D, and, on first use, the split of E into range and
-    kernel (``e_split``), the norm of E, the jumps of the supergradient (see
-    ``jumps`` and ``_multiplier``), the trace t_bar of E against the BP
-    projection, the seed grid of the penalized search, the oracle values
-    h(t) evaluated so far (each keeping the projections its X interpolates,
-    see ``HOracleResult``) and, in ``probes``, the O(n) summary (``_Probe``)
-    of every multiplier the oracle has probed, which the later calls read
-    instead of solving D + lam*E again.
+    """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call and
+    every penalized search on the same pair: the symmetrized matrices, Tr E,
+    the spectrum and norm of D and the projection onto its negative
+    eigenspace (the BP optimum), all from one ``eigh`` of D, and, on first
+    use, the split of E into range and kernel (``e_split``), the norm of E,
+    the jumps of the supergradient (see ``jumps`` and ``_multiplier``), the
+    trace t_bar of E against the BP projection, the ends of the penalized
+    searches (``ends``), in ``probes`` the O(n) summary (``_Probe``) of every
+    multiplier probed, which the later calls read instead of solving
+    D + lam*E again, and in ``gaps`` the refinement tree of the penalized
+    searches (see ``refine``).
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
     E scaled by e^2, h_e(t) = h(t/e^2) and the multiplier scales by 1/e^2,
-    while values, dual values and X do not depend on e.  The structural
-    checks read their eigenvalues of D and E here too."""
+    while values, dual values and projections do not depend on e.  The
+    structural checks read their eigenvalues of D and E here too."""
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
         self.D = sym(D)
@@ -192,9 +191,10 @@ class _Pencil:
         self.eigD, v = np.linalg.eigh(self.D)
         self.normD = float(np.max(np.abs(self.eigD), initial=0.0))
         self.bp = neg_part(self.eigD, v)
-        self.evals: dict[float, HOracleResult] = {}
         self.probes: dict[float, _Probe] = {}
-        self._seeds: dict[float, tuple[float, ...]] = {}
+        self.gaps: dict[tuple[float, float], tuple[_Point, ...]] = {}
+        # the latest split solved (see ``split``)
+        self._split: tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     @functools.cached_property
     def e_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -229,31 +229,59 @@ class _Pencil:
         """Tr(E P_BP), clamped to [0, Tr E]: the right end of every search."""
         return min(max(float(np.sum(self.E * self.bp)), 0.0), self.trE)
 
-    def seeds(self, f: float) -> tuple[float, ...]:
-        """Sorted seed points of the penalized search at offset f >= 0: 0,
-        t_bar and the seven points that space sqrt(f + t) evenly between them.
-        Computed once per f; every scale of a unit system reads its f."""
-        ss = self._seeds.get(f)
-        if ss is None:
-            # interior points only: a squared end is a rounding residue of 0 or t_bar
-            q = np.linspace(math.sqrt(f), math.sqrt(f + self.t_bar), 9)[1:-1]
-            pts = (min(max(float(x * x - f), 0.0), self.t_bar) for x in q)
-            ss = self._seeds[f] = tuple(sorted({0.0, self.t_bar, *pts}))
-        return ss
+    @functools.cached_property
+    def ends(self) -> tuple[_Point, ...]:
+        """The ends of every search: ``h_eq``'s closed form at t = 0, with no
+        line (its multiplier runs away), and, where t_bar > 0, the BP
+        projection, with the flat line h >= sum min(eig D, 0) of lam = 0."""
+        r = h_eq(self.D, self.E, 0.0, pencil=self)
+        origin = _Point(0.0, r.value, None, 0.0, proj=r.X)
+        if self.t_bar <= 0.0:
+            return (origin,)
+        c = float(np.sum(np.minimum(self.eigD, 0.0)))
+        return origin, _Point(self.t_bar, self.bp_result.value, c, 0.0, proj=self.bp)
 
-    def h(self, t: float, e2: float = 1.0) -> HOracleResult:
-        """``h_eq`` at trace target t for a reader of the pair (D, e2*E).
+    def split(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, v, E v) of D + lam*E, kept for the latest lam alone: a slope or
+        a projection reads it right after its probe.  Raw eigh (no sign
+        fixing) is fine: only spectral projections, sign-invariant, are read."""
+        if self._split is None or self._split[0] != lam:
+            w, v = np.linalg.eigh(self.D + lam * self.E)
+            self._split = (lam, (w, v, self.E @ v))
+        return self._split[1]
 
-        The result's duality gap meets that pair's default tolerance
-        1e-9*(1 + |D| + e2*|E|).  Each t is evaluated once, and again only
-        when a reader at a smaller scale needs a tighter gap than the stored
-        one has."""
-        t = float(t)
-        tol = 1e-9 * (1.0 + self.normD + e2 * self.normE)
-        r = self.evals.get(t)
-        if r is None or abs(r.value - r.dual_value) > tol:
-            r = self.evals[t] = h_eq(self.D, self.E, t, tol=tol, pencil=self)
-        return r
+    def probe(self, lam: float) -> _Probe:
+        """The record's summary of D + lam*E; an eigensolve only for a new lam."""
+        p = self.probes.get(lam)
+        if p is None:
+            w, v, ev = self.split(lam)
+            p = self.probes[lam] = _Probe(lam, w, np.einsum("ij,ij->j", v, ev))
+        return p
+
+    def refine(self, a: _Point, b: _Point) -> tuple[_Point, ...]:
+        """The points strictly inside the gap (a, b) that a probe at its chord
+        slope finds, ascending; none when h is linear on [a, b].
+
+        With lam the chord slope, h(s) + lam*s is convex, equal at a and b,
+        and minimal on the probe's trace interval [g_lo, g_hi]: if that
+        interval has no point inside (a, b), h + lam*s is constant on
+        [a, b].  A chord slope depends on h alone, so the record keeps the
+        answer for every search, keyed by the traces of the gap's ends."""
+        key = (a.s, b.s)
+        kids = self.gaps.get(key)
+        if kids is None:
+            lam = (a.h - b.h) / (b.s - a.s)
+            kids = ()
+            if lam > 0.0:  # else the chord is flat: h is constant on [a, b]
+                p = self.probe(lam)
+                ends = [_Point(p.g_lo, p.h_lo, p.c, lam, cols=p.w < -p.ztol)]
+                if p.g_hi > p.g_lo:
+                    ends.append(_Point(p.g_hi, p.h_hi, p.c, lam, cols=p.w <= p.ztol))
+                    # h is linear between the two
+                    self.gaps.setdefault((p.g_lo, p.g_hi), ())
+                kids = tuple(q for q in ends if a.s < q.s < b.s)
+            self.gaps[key] = kids
+        return kids
 
     @functools.cached_property
     def jumps(self) -> np.ndarray:
@@ -290,20 +318,23 @@ class _Probe:
 
     ``g_lo``/``g_hi`` are the traces of E against the negative and the
     non-positive eigenspaces (the ends of the supergradient interval, shifted
-    by t); eigenvalues within ``ztol`` of zero count as zero.  ``slope`` is
-    g'(lam) once ``_multiplier`` has computed it, else None.  An entry holds
-    no eigenvectors (n^2 floats each): ``_Pencil.probes`` keeps one per
-    multiplier probed, and ``_multiplier`` drops the eigenvectors at its
-    next probe.
+    by t), and ``h_lo``/``h_hi`` the values Tr(D P) of those projections,
+    sum_{w in P} w - lam*Tr(E P); eigenvalues within ``ztol`` of zero count
+    as zero.  ``c`` is the dual value sum min(w, 0), so h(s) >= c - lam*s for
+    every s.  ``slope`` is g'(lam) once ``_multiplier`` has computed it, else
+    None.  An entry holds no eigenvectors (n^2 floats each):
+    ``_Pencil.probes`` keeps one per multiplier probed, and ``_Pencil.split``
+    keeps the eigenvectors of the latest one only.
     """
 
-    __slots__ = ("lam", "w", "diag", "slope", "ztol", "g_lo", "g_hi")
+    __slots__ = ("lam", "w", "diag", "slope", "c", "ztol", "g_lo", "g_hi", "h_lo", "h_hi")
 
     def __init__(self, lam: float, w: np.ndarray, diag: np.ndarray):
         self.lam = lam
         self.w = w
         self.diag = diag  # v_j^T E v_j >= 0 up to rounding
         self.slope: float | None = None
+        self.c = float(np.sum(np.minimum(w, 0.0)))
         # the zero band is machine-precision-relative: only the genuinely
         # crossing eigenvalue should be treated as zero (a wide band would
         # leak into the duality gap)
@@ -311,8 +342,11 @@ class _Probe:
 
     def _classify(self, ztol: float) -> None:
         self.ztol = ztol
-        self.g_lo = float(np.sum(self.diag[self.w < -ztol]))
-        self.g_hi = float(np.sum(self.diag[self.w <= ztol]))
+        lt, le = self.w < -ztol, self.w <= ztol
+        self.g_lo = float(np.sum(self.diag[lt]))
+        self.g_hi = float(np.sum(self.diag[le]))
+        self.h_lo = float(np.sum(self.w[lt])) - self.lam * self.g_lo
+        self.h_hi = float(np.sum(self.w[le])) - self.lam * self.g_hi
 
     def widened(self, pen: _Pencil) -> "_Probe":
         """The same split with the zero band widened to absorb the rounding
@@ -320,6 +354,27 @@ class _Probe:
         p = copy.copy(self)
         p._classify(max(self.ztol, 1e-10 * (1.0 + pen.normD + abs(self.lam) * pen.normE)))
         return p
+
+
+class _Point:
+    """A point (s, h) of the graph of h in unit coordinates, the trace and
+    value of a projection P, with the weak-duality line h(x) >= c - lam*x of
+    its multiplier and that line's value d at s (c and d None at the origin,
+    whose multiplier runs away).  P is given, or formed on first read from
+    the columns ``cols`` of the split at lam."""
+
+    __slots__ = ("s", "h", "c", "lam", "d", "_proj", "_cols")
+
+    def __init__(self, s: float, h: float, c: float | None, lam: float,
+                 proj: np.ndarray | None = None, cols: np.ndarray | None = None):
+        self.s, self.h, self.c, self.lam, self._proj, self._cols = s, h, c, lam, proj, cols
+        self.d = None if c is None else c - lam * s
+
+    def projection(self, pen: _Pencil) -> np.ndarray:
+        if self._proj is None:
+            u = pen.split(self.lam)[1][:, self._cols]
+            self._proj = u @ u.T
+        return self._proj
 
 
 # probes inside one segment (Newton steps and bisections); bisection alone
@@ -352,38 +407,15 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
 
     Every call on one pencil probes the same jumps and the same first
     bisection of each inner segment, so each probe is read from ``pen.probes``
-    and only a multiplier probed for the first time costs an eigensolve.
-    The eigenvectors are never kept past the next probe; an entry from an
-    earlier call gets them back, for its slope or for the accepted primal,
-    from one eigensolve at its lam, whose input and so whose result is the
-    same.
+    and only a multiplier probed for the first time costs an eigensolve
+    (again for the eigenvectors of an entry once ``pen.split`` moved on).
     """
     trE = pen.trE
-    # the split of the latest multiplier solved: the eigenvectors are used
-    # (for the slope or the accepted primal) only right after the probe that
-    # solved them, so one split at a time bounds the call's memory
-    vecs: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def split(lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, v, E v) of D + lam*E.  Raw eigh (no sign fixing) is fine: only
-        spectral projections are consumed, and those are sign-invariant."""
-        if lam not in vecs:
-            vecs.clear()
-            w, v = np.linalg.eigh(pen.D + lam * pen.E)
-            vecs[lam] = (w, v, pen.E @ v)
-        return vecs[lam]
-
-    def probe(lam: float) -> _Probe:
-        p = pen.probes.get(lam)
-        if p is None:
-            w, v, ev = split(lam)
-            p = pen.probes[lam] = _Probe(lam, w, np.einsum("ij,ij->j", v, ev))
-        return p
 
     def slope(p: _Probe) -> float:
         """g'(lam), valid when no eigenvalue sits in the zero band."""
         if p.slope is None:
-            _, v, ev = split(p.lam)
+            _, v, ev = pen.split(p.lam)
             neg = p.w < -p.ztol
             m = v[:, neg].T @ ev[:, ~neg]
             gaps = p.w[neg][:, None] - p.w[~neg][None, :]
@@ -391,7 +423,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
         return p.slope
 
     def done(p: _Probe) -> tuple[_Probe, np.ndarray]:
-        return p, split(p.lam)[1]
+        return p, pen.split(p.lam)[1]
 
     def accepted(p: _Probe) -> bool:
         if p.g_lo <= t <= p.g_hi:
@@ -409,7 +441,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
     i, j = 0, pen.jumps.size
     while i < j:
         k = (i + j) // 2
-        p = probe(float(pen.jumps[k]))
+        p = pen.probe(float(pen.jumps[k]))
         if accepted(p):
             return done(p)
         # t inside this jump, whose crossing eigenvalue rounding pushed out
@@ -437,7 +469,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
     step = hi - lo
     lam = bisect()
     for _ in range(_MAX_STEPS):
-        p = probe(lam)
+        p = pen.probe(lam)
         if accepted(p):
             return done(p)
         if p.g_lo > t:
@@ -459,7 +491,7 @@ def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndar
         return done(p)  # budget spent: the duality-gap check rejects this probe
     # the bracket collapsed at float resolution, onto a jump whose crossing
     # eigenvalue rounding pushed out of the zero band: widen the band there
-    return done(probe(0.5 * (lo + hi)).widened(pen))
+    return done(pen.probe(0.5 * (lo + hi)).widened(pen))
 
 
 def h_eq(
@@ -538,7 +570,7 @@ def h_eq(
 # --------------------------------------------------------------------------
 
 
-# distinct trace targets one penalized search may evaluate before it gives up
+# points one penalized search may hold before it gives up
 _MAX_EVALS = 4000
 
 
@@ -555,27 +587,29 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     """Certified minimization of h(t) + psi(t) over [0, t_bar], where psi is
     ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
 
-    Returns (t_best, oracle_result_at_t_best, value_best, certified_rho).
-    psi is concave and nondecreasing in t: alpha*sqrt(f+t) is, and with
-    lam_bar > 0 psi is linear with slope alpha^2/(4*lam_bar) up to
-    t_check = 4*lam_bar^2/alpha^2 - f and alpha*sqrt(f+t) beyond, whose slope
-    alpha/(2*sqrt(f+t)) starts at that same value and falls.  Best-first
-    interval subdivision: each interval [a, b] carries the lower bound
-    h(b) + psi(a) (h nonincreasing, psi nondecreasing), and subdivision
-    stops once every remaining interval's bound is within ``rho`` of the
-    incumbent.
+    Returns (t_best, projection, certified_rho): the best point's trace in
+    dc's units and its projection.  psi is concave and nondecreasing (see
+    ``solve_spop``), so j = h + psi is concave where h is linear, and its
+    minimum lies at a point of the graph of h that a probe of D + lam*E
+    finds (``_Pencil.refine``).
+
+    The search starts from the two ends, the closed form at 0 and the BP
+    projection at t_bar, and keeps its points sorted by trace.  A gap [a, b]
+    between two of them is bounded below by the larger of the monotone bound
+    h(b) + psi(a), with h(b) read from b's line (h is nonincreasing on
+    [0, t_bar], psi nondecreasing), and the smallest of l_a(a) + psi(a),
+    l_a(x) + psi(x) and l_b(b) + psi(b), where x, clamped to [a, b], is the
+    crossing of the lines l_a and l_b of the two ends: h >= l_a on [a, x] and
+    h >= l_b on [x, b], and each line plus psi is concave.  The origin has
+    no line, so its gap uses b's alone.  The lowest gap is refined until
+    every gap's bound is within ``rho`` of the best point; a gap on which h
+    is linear closes, as j is concave there.
 
     The search runs on ``dc.pencil``, the record of the unit system that
     ``dc`` rescales by e = ``dc.scale``: with s = t/e^2, sqrt(f + t) is
-    e*sqrt(f1 + s), so the objective is h1(s) + psi at q = sqrt(f1 + s) with
-    weight alpha*e, and the searches of every program at every scale share
-    their oracle evaluations.  The seed grid is sqrt-spaced over the unit
-    system's [0, t_bar], so that it lands on the same unit points at every
-    scale; the record computes it once (``_Pencil.seeds``).  Each point is
-    read from the record once and its result kept, with its psi, for the
-    interval bounds and the return.  ``lam_bar`` is in dc's units.  The
-    returned oracle result is the record's (its X does not depend on the
-    scale); t_best is in dc's units.
+    e*sqrt(f1 + s), so it minimizes h1(s) + psi at q = sqrt(f1 + s) with
+    weight alpha*e, and every program at every scale descends one tree.
+    ``lam_bar`` is in dc's units.
     """
     if not rho > 0.0:
         raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
@@ -586,53 +620,31 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     if e2 * pen.trE <= 1e-13 * (1.0 + e2 * pen.normE):
         # E vanishes at this scale: the constraint is vacuous and the optimum
         # is the BP projection at t = 0
-        res = pen.bp_result
-        psi0 = _penalty(alpha, lam_bar)(math.sqrt(max(float(dc.f), 0.0)))
-        return 0.0, res, res.value + psi0, 0.0
+        return 0.0, pen.bp, 0.0
 
     psi = _penalty(alpha * e, lam_bar)
     f = max(float(dc.unit.f), 0.0)
-    # the oracle result and psi at every evaluated point, read by the
-    # interval bounds and the return: each point is read from the record once
-    hs: dict[float, HOracleResult] = {}
     psis: dict[float, float] = {}
 
-    def j(sv: float) -> float:
-        r = hs[sv] = pen.h(sv, e2)
-        p = psis[sv] = psi(math.sqrt(f + sv))
-        return r.value + p
+    def psi_at(s: float) -> float:
+        v = psis.get(s)
+        if v is None:
+            v = psis[s] = psi(math.sqrt(f + s))
+        return v
 
-    def interval_lb(a: float, b: float) -> float:
-        """Lower bound for j on [a, b] with both endpoints already evaluated.
+    def bound(a: _Point, b: _Point) -> float:
+        pa, pb = psi_at(a.s), psi_at(b.s)
+        lb = b.d + pa
+        if a.c is None:
+            return max(lb, min(b.c - b.lam * a.s + pa, b.d + pb))
+        x = (a.c - b.c) / (a.lam - b.lam) if a.lam > b.lam else b.s
+        x = min(max(x, a.s), b.s)
+        return max(lb, min(a.d + pa, a.c - a.lam * x + psi(math.sqrt(f + x)), b.d + pb))
 
-        Weak-duality minorants from the endpoints' dual values, so no slack
-        for the oracle's gap: the monotonicity bound dual_value(b) + psi(a)
-        (h is nonincreasing on [0, t_bar]) and the tangents
-        h(s) >= dual_value(s0) - lam_s0*(s - s0) at both endpoints (the dual
-        function at lam_s0 bounds h everywhere), exact to second order near
-        the penalized minimizer, which keeps the subdivision from stalling
-        on flat stretches.  Each minorant plus the penalty is concave in s,
-        so its minimum over [a, b] is at an endpoint.
-        """
-        ra, rb = hs[a], hs[b]
-        pa, pb = psis[a], psis[b]
-        lb = rb.dual_value + pa
-        for s0, r in ((b, rb), (a, ra)):
-            lam = max(float(r.lambda_dual), 0.0)
-            if s0 == a and lam <= 0.0:
-                continue  # a zero slope taken at the left endpoint is invalid
-            at_a = r.dual_value - lam * (a - s0) + pa
-            at_b = r.dual_value - lam * (b - s0) + pb
-            lb = max(lb, min(at_a, at_b))
-        return lb
-
-    ss = pen.seeds(f)
-    vals = {sv: j(sv) for sv in ss}
+    pts = pen.ends
+    vals = {p: p.h + psi_at(p.s) for p in pts}
     best_val = min(vals.values())
-
-    heap: list[tuple[float, float, float]] = []
-    for a, b in zip(ss[:-1], ss[1:]):
-        heapq.heappush(heap, (interval_lb(a, b), a, b))
+    heap = [(bound(a, b), a.s, a, b) for a, b in zip(pts[:-1], pts[1:])]
 
     margin = rho * (1.0 - 1e-9)
     while heap and heap[0][0] < best_val - margin:
@@ -641,26 +653,25 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
                 "penalized search exceeded its evaluation budget without "
                 f"certifying rho={rho}"
             )
-        _, a, b = heapq.heappop(heap)
-        qa, qb = math.sqrt(f + a), math.sqrt(f + b)
+        _, _, a, b = heapq.heappop(heap)
+        qa, qb = math.sqrt(f + a.s), math.sqrt(f + b.s)
         if qb - qa <= 1e-13 * (1.0 + qb):
-            continue  # interval at floating-point resolution; its bound stands
-        mid = max(float((0.5 * (qa + qb)) ** 2 - f), 0.0)
-        mid = min(max(mid, a), b)
-        if mid <= a or mid >= b:
-            continue
-        vm = j(mid)
-        vals[mid] = vm
-        best_val = min(best_val, vm)
-        heapq.heappush(heap, (interval_lb(a, mid), a, mid))
-        heapq.heappush(heap, (interval_lb(mid, b), mid, b))
+            continue  # gap at floating-point resolution; its bound stands
+        kids = pen.refine(a, b)
+        for p in kids:
+            vals[p] = p.h + psi_at(p.s)
+            best_val = min(best_val, vals[p])
+        if kids:
+            chain = (a, *kids, b)
+            for x, y in zip(chain[:-1], chain[1:]):
+                heapq.heappush(heap, (bound(x, y), x.s, x, y))
 
     certified = best_val - heap[0][0] if heap else 0.0
     certified = max(0.0, min(certified, rho))
     # tie-break toward the smallest trace (prefers revealing less)
     tie = 1e-12 * (1.0 + abs(best_val))
-    s_best = min(sv for sv, v in vals.items() if v <= best_val + tie)
-    return e2 * s_best, hs[s_best], vals[s_best], certified
+    p_best = min((p for p, v in vals.items() if v <= best_val + tie), key=lambda p: p.s)
+    return e2 * p_best.s, p_best.projection(pen), certified
 
 
 # --------------------------------------------------------------------------
@@ -744,32 +755,17 @@ def solve_penalized(
     lam_bar)`` at q = sqrt(f + Tr(E S)): alpha*sqrt(f + t) for lam_bar = 0,
     else the beta-maximized penalty of SPOP (see ``_minimize_penalized``).
 
-    The projection is the best, by ``extract_projection``, of 0, the
-    projections that the search's oracle result interpolates (which the
-    programs and scales that land on the same t share) and the stationarity
-    projection P_neg(D + psi'(t)*E) at its trace t, with
-    psi'(t) = alpha/(2*sqrt(f + t)) where psi is alpha*sqrt(f + t) and
-    alpha^2/(4*lam_bar) where it is linear.
+    ``Sigma`` and ``projection`` are one array, the better by
+    ``extract_projection`` of 0 and the search's best projection, and
+    ``value`` is its objective: the value of a returned matrix, within the
+    certified ``rho`` of the optimum.
     """
-    t_best, res, val, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
-    D, E, f = dc.D, dc.E, dc.f
-    candidates = [np.zeros_like(res.X), *res.projections]
-    # the stationarity projection of the smooth objective is the canonical
-    # minimal-rank solution; it is scored like any other candidate, so the
-    # value never rests on it
-    q = math.sqrt(max(f + t_best, 0.0))
-    lam_star = None
-    if alpha * q < 2.0 * lam_bar:  # psi's linear part; never for lam_bar = 0
-        lam_star = alpha * alpha / (4.0 * lam_bar)
-    elif alpha > 0.0 and f + t_best > 1e-300:
-        lam_star = alpha / (2.0 * q)
-    if lam_star is not None:
-        candidates.append(neg_part(*np.linalg.eigh(D + lam_star * E)))
-    proj, cur = extract_projection(candidates, _objective(dc, alpha, offset, lam_bar))
-    value = min(val + offset, cur)
+    _, proj, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
+    proj, value = extract_projection([np.zeros_like(proj), proj],
+                                     _objective(dc, alpha, offset, lam_bar))
     return ProgramSolution(
-        program=program, Sigma=res.X, value=value,
-        rank=_rank_projection(proj), rho=max(certified, 0.0), projection=proj,
+        program=program, Sigma=proj, value=value,
+        rank=_rank_projection(proj), rho=certified, projection=proj,
     )
 
 
@@ -937,9 +933,10 @@ def sweep(
     requires ``qf``, ``C0`` and ``prior``.
 
     Each reported value lies within its program's certified rho of the
-    optimum, so the ordering POP <= SPOP <= PP of the optima holds for the
-    reported values up to that rho, pointwise: each program's incumbent set
-    includes the argmins found by the stronger neighbors in the chain.
+    optimum and is the objective of a projection.  Cross-seeding scores
+    SPOP at PP's projection and POP at the better of SPOP's and PP's, and
+    as the objectives are ordered pointwise, POP <= SPOP <= PP <= PP's
+    value, the reported values keep the chain POP <= SPOP <= PP exactly.
     """
     if mc is not None:
         # checked before the first row is solved, not by mc_true_cost after it
@@ -956,15 +953,11 @@ def sweep(
         pop = solve_pop(dc, ps, rho)
 
         # cross-seeding: evaluating each objective at the neighbors' argmins
-        # can only lower the reported values, and enforces the theoretical
-        # chain pointwise
+        # can only lower the reported values, and enforces the chain
         val_pp = pp.value
-        spop_cands = [spop.value, spop_objective(dc, ps.kappa, pp.projection),
-                      spop_objective(dc, ps.kappa, pp.Sigma)]
-        val_spop = min(spop_cands)
-        spop_arg = [spop.projection, pp.projection, pp.Sigma][
-            int(np.argmin(spop_cands))
-        ]
+        spop_at_pp = spop_objective(dc, ps.kappa, pp.projection)
+        val_spop = min(spop.value, spop_at_pp)
+        spop_arg = spop.projection if spop.value <= spop_at_pp else pp.projection
         pop_obj = _objective(dc, *_weights("POP", dc, ps.kappa, ps.beta_bar))
         val_pop = min(pop.value, pop_obj(spop_arg), pop_obj(pp.projection))
 
