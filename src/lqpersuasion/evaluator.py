@@ -221,6 +221,28 @@ def opening_linear_best(k: float, n: int, eps: float) -> float:
     return min(tab["abp_ni"], tab["abp_fi"])
 
 
+def _stirlerr(b: float) -> float:
+    """Stirling's error lgamma(b + 1) - (b + 1/2) ln b + b - ln(2 pi)/2 for
+    b >= 100, from its asymptotic series; the next term is below 1e-21."""
+    u = 1.0 / (b * b)
+    return (1.0 / 12.0 - u * (1.0 / 360.0 - u * (1.0 / 1260.0 - u / 1680.0))) / b
+
+
+def _bd0(b: float, x: float) -> float:
+    """b ln(b/x) + x - b >= 0, summed as a series in v = (b - x)/(b + x)
+    near b = x, where the direct form cancels (Loader 2000)."""
+    if abs(b - x) >= 0.1 * (b + x):
+        return b * math.log(b / x) + x - b
+    v = (b - x) / (b + x)
+    s, ej, v2, j = (b - x) * v, 2.0 * b * v, v * v, 1.0
+    while True:
+        ej *= v2
+        nxt = s + ej / (2.0 * j + 1.0)
+        if nxt == s:
+            return s
+        s, j = nxt, j + 1.0
+
+
 def _gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) for a half-integer a > 0.
 
@@ -228,13 +250,24 @@ def _gamma_q(a: float, x: float) -> float:
     1 - (t_a + t_(a+1) + ...) for x < a, else t_(a-1) + t_(a-2) + ... + Q(r, x)
     with Q(1/2, x) = erfc(sqrt(x)) or Q(1, x) = e^-x.  The terms of either sum
     fall, so it stops once a bound on its rest is below 1e-17 of it: after
-    O(sqrt(x) + 1) terms, however large a is."""
+    O(sqrt(x) + 1) terms, however large a is.
+
+    Below a = 500 a term is exp(b ln x - x - lgamma(b + 1)).  Its exponent
+    cancels terms of size about b ln b and so loses about eps*b*ln(b)
+    relative, so from a = 500 on a term is Loader's saddle-point form
+    exp(-stirlerr(b) - bd0(b, x)) / sqrt(2 pi b), whose parts do not cancel
+    (C. Loader, "Fast and accurate computation of binomial probabilities",
+    2000).  There every term has b > 300: a downward sum from a >= 500 has
+    met its bound long before."""
     if x <= 0.0:
         return 1.0
-    up, r = x < a, a % 1.0 or 1.0
+    up, r, saddle = x < a, a % 1.0 or 1.0, a >= 500.0
     s, b = 0.0, a if up else a - 1.0
     while up or b >= r:
-        tb = math.exp(b * math.log(x) - x - math.lgamma(b + 1.0))
+        if saddle:
+            tb = math.exp(-_stirlerr(b) - _bd0(b, x)) / math.sqrt(2.0 * math.pi * b)
+        else:
+            tb = math.exp(b * math.log(x) - x - math.lgamma(b + 1.0))
         s += tb
         # the rest is at most t_b*x/(b+1-x) upward, t_b*b/(x-b+1) downward
         if tb * (x if up else b) <= 1e-17 * s * (b + 1.0 - x if up else x - b + 1.0):

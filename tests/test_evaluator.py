@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from lqpersuasion import (
     PriorSpec,
@@ -16,10 +17,10 @@ from lqpersuasion import (
     thresholds_1d,
 )
 from conftest import random_reduced_game
-from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, programs
+from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, innermax, programs
 from lqpersuasion.demo import tracking_form
 from lqpersuasion.errors import InvalidParameter, InvalidRadius, OutOfRegime
-from lqpersuasion.evaluator import gaussian_samples, prior_samples
+from lqpersuasion.evaluator import _gamma_q, gaussian_samples, prior_samples
 from lqpersuasion.innermax import worst_case_penalty_batch
 from lqpersuasion.spectral import sym
 
@@ -50,15 +51,22 @@ def test_sphere_samples_have_exact_radius():
 
 
 def test_mc_true_cost_deterministic_across_workers():
-    qf = tracking_form(2.0, 3)
-    C = np.eye(3)
-    prior = PriorSpec("gaussian", 3)
-    ests = [
-        mc_true_cost(qf, C, prior, np.eye(3), n_samples=20_000, seed=5, n_workers=w)
-        for w in (1, 2, 8)
-    ]
-    assert ests[0].mean == ests[1].mean == ests[2].mean
-    assert ests[0].stderr == ests[1].stderr == ests[2].stderr
+    # the worker chunks cut the inner maximization's blocks at other rows
+    # than one worker does: 2 workers take one full block and a few rows each
+    rng = np.random.default_rng(13)
+    qf30, C30 = random_reduced_game(rng, 30), rng.normal(size=(30, 30))
+    u = np.linalg.qr(rng.normal(size=(30, 30)))[0][:, :15]
+    cases = [(tracking_form(2.0, 3), np.eye(3), np.eye(3)), (qf30, C30, u @ u.T)]
+    samples = 2 * innermax._BLOCK + 17
+    for qf, C, P in cases:
+        for family in ("gaussian", "sphere"):
+            prior = PriorSpec(family, qf.n)
+            ests = [
+                mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=w)
+                for w in (1, 2, 8)
+            ]
+            assert ests[0].mean == ests[1].mean == ests[2].mean
+            assert ests[0].stderr == ests[1].stderr == ests[2].stderr
 
 
 def test_mc_true_cost_matches_closed_form_full_information():
@@ -304,6 +312,16 @@ def test_radius_cost_exact_second_moment_at_large_n():
     k, n = 2.0, 10**6
     expect = (k - 1.0) ** 2 * n
     assert abs(radius_threshold_cost(k, n, 0.0, 0.0) - expect) <= 1e-15 * expect
+
+
+def test_gamma_q_matches_gammaincc_at_large_n():
+    # the chi(n) tail at R^2 = n (x = n/2) and one standard deviation out,
+    # for both orders the radius cost uses; a term's log taken as a
+    # difference of terms near (n/2) ln(n/2) was 5.4e-7 off here at n = 1e9
+    for n in (1e3, 1e5, 1e7, 1e9):
+        for a in ((n + 1.0) / 2.0, (n + 2.0) / 2.0):
+            for x in (n / 2.0, n / 2.0 + math.sqrt(n / 2.0)):
+                assert _gamma_q(a, x) == pytest.approx(gammaincc(a, x), rel=1e-12, abs=0.0)
 
 
 def test_radius_scan_beats_linear_policies_at_large_eps():

@@ -90,6 +90,22 @@ def _secular_cases(rng):
     qm = random_psd(rng, 3)
     for s in (1e-6, 1e6):
         yield qm, s * rng.normal(size=(20, 3))
+    yield _n30_case(rng, 60)
+
+
+def _n30_case(rng, rows):
+    # n = 30: a doubled top eigenvalue and 28 others, enough for the sums over
+    # eigen-coordinates to leave numpy's short-row order; among the rows a
+    # zero row and rows with no top mass, both small (boundary value) and
+    # large (interior root)
+    q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    qm = (q * np.r_[5.0, 5.0, rng.uniform(0.0, 4.0, size=28)]) @ q.T
+    V = rng.normal(size=(rows, 30)) * rng.uniform(0.0, 3.0, size=(rows, 1))
+    V[0] = 0.0
+    no_top = rng.normal(size=(6, 28)) @ q[:, 2:].T
+    V[1:4] = 1e-3 * no_top[:3]
+    V[4:7] = 3.0 * no_top[3:]
+    return qm, V
 
 
 def test_batch_agrees_with_scalar():
@@ -105,10 +121,41 @@ def test_batch_agrees_with_scalar():
 
 def test_unconverged_rows_raise(monkeypatch):
     # a row still stepping when the Newton budget runs out is an error, never
-    # a value
+    # a value, in whichever block it sits
     monkeypatch.setattr(innermax, "_MAX_NEWTON", 1)
+    qm, row = np.diag([3.0, 1.0]), np.array([0.3, 2.0])
     with pytest.raises(NumericalFailure):
-        worst_case_penalty_batch(np.diag([3.0, 1.0]), np.array([[0.3, 2.0]]))
+        worst_case_penalty_batch(qm, row[None, :])
+    # zero rows take the boundary value without a Newton step, so the first
+    # block converges and only the second block's last row fails
+    V = np.zeros((innermax._BLOCK + 5, 2))
+    V[-1] = row
+    with pytest.raises(NumericalFailure, match=f" 1 of {V.shape[0]} rows"):
+        worst_case_penalty_batch(qm, V)
+
+
+def _cuts(rng, m):
+    # split points: every row alone (short batches), block edges and a
+    # single row at either end (long ones), and random cuts
+    block = innermax._BLOCK
+    if m <= 250:
+        yield np.arange(1, m)
+    else:
+        yield np.array([1, block - 1, block, block + 1, 2 * block, m - 1])
+    for _ in range(3):
+        yield np.sort(rng.choice(np.arange(1, m), size=min(m - 1, 5), replace=False))
+
+
+def test_batch_is_bitwise_independent_of_the_split():
+    # the Monte-Carlo evaluator solves its samples in worker chunks and
+    # relies on their penalties being the whole batch's, bit for bit
+    rng = np.random.default_rng(26)
+    cases = [*_secular_cases(rng), _n30_case(rng, 2 * innermax._BLOCK + 17)]
+    for qm, V in cases:
+        whole = worst_case_penalty_batch(qm, V)
+        for cuts in _cuts(rng, V.shape[0]):
+            parts = [worst_case_penalty_batch(qm, piece) for piece in np.split(V, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_penalty_bounds_sandwich():
