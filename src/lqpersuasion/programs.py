@@ -13,17 +13,18 @@ with lb = lambda_bar, bb = beta_bar, k = kappa, and
 zeta = k*sqrt(f + Tr(E S))/lb.
 
 The workhorse is the trace-constrained spectral oracle ``h_eq``: the value
-h(t) = min Tr(D X) over {0 <= X <= I, Tr(E X) = t} is obtained by
-maximizing the one-dimensional concave dual over the multiplier lam, whose
-supergradient interval is delimited by the traces of E against the
-negative/non-positive eigenprojections of D + lam*E.  The supergradient
-g(lam) = Tr(E P_neg(D + lam*E)) is nonincreasing; it jumps only at the real
-generalized eigenvalues of the pencil (D, -E) and is smooth between two of
-them.  The multiplier is found inside a finite bracket from weak duality
-(see ``_multiplier``) by a binary search over those eigenvalues followed by
-safeguarded Newton steps on g(lam) = t with the exact slope.
-The primal optimum is an interpolation of the two projections, which yields
-a duality-gap certificate without any external SDP solver.
+h(t) = min Tr(D X) over {0 <= X <= I, Tr(E X) = t}.  h is convex,
+nonincreasing on [0, t_bar] and nondecreasing on [t_bar, Tr E], with t_bar
+the trace of E against the BP projection.  A probe of D + lam*E gives two
+points of its graph, the traces and values of P_lt and P_le, its negative
+and non-positive eigenprojections, and the minorant h(s) >= c(lam) - lam*s
+of weak duality, c(lam) = sum min(mu_i, 0).  A gap between two points is
+refined by a probe at its chord slope (the sandwich step of Burkard,
+Hamacher and Rote, Naval Res. Logistics 38, 1991): ``h_eq`` descends the
+gaps to the one that holds t, until the chord at t is within the tolerance
+of a line, and interpolates the projections of its two ends, which yields
+a duality-gap certificate without any external SDP solver.  At t = 0 and
+t = Tr E the optimum is closed-form.
 
 The penalized programs minimize j(t) = h(t) + psi(t) over the scalar t, with
 psi(t) = alpha*sqrt(f+t) for PP and POP and, for SPOP, the beta-maximized
@@ -34,23 +35,19 @@ differ only in their weights (alpha, offset, lb): PP (1, c + lb, 0), POP
 (bb*k, c + (1-bb^2) lb, 0) and SPOP (k, c, lb).  h is convex, piecewise
 smooth and nonincreasing on [0, t_bar], so j is concave on every linear
 piece of h, and its minimum lies at a projection: the search runs over the
-multiplier, not the trace.  A probe of D + lam*E (lam >= 0) gives two points
-of the graph of h, the traces and values of P_lt and P_le, and the minorant
-h(s) >= c(lam) - lam*s of weak duality, c(lam) = sum min(mu_i, 0); a gap
-between two points is refined by a probe at its chord slope (the sandwich
-step of Burkard, Hamacher and Rote, Naval Res. Logistics 38, 1991), and the
-search stops with a certificate that the best point is within ``rho`` of
-the true minimum.  The returned Sigma is that point's projection.
+multiplier, not the trace.  It refines the gaps of the same tree as
+``h_eq`` (lam >= 0), the lowest bound first, and stops with a certificate
+that the best point is within ``rho`` of the true minimum.  The returned
+Sigma is that point's projection.
 
 The three programs so minimize over the same h of the same (D, E): the
 programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
-one BP projection, one set of pencil eigenvalues, one closed form at t = 0
-and one eigensolve per distinct multiplier probed.  The record keeps an
-O(n) summary of each probe (the eigenvalues, the diagonal of E in their
-eigenbasis, the traces and values of its two projections and, once
-computed, the slope of g), not its eigenvectors, and the tree of gaps the
-searches have refined: a chord slope depends on h alone, so every program
-descends the same tree.  A homothetic rescaling multiplies E, f and
+one BP projection, one closed form at t = 0 and one eigensolve per
+distinct multiplier probed.  The record keeps the points each probe gave
+(their traces, values, lines and eigenvalue masks), not its eigenvectors,
+and the tree of gaps that ``h_eq`` and the searches have refined: a chord
+slope depends on h alone, so every program and every oracle call descends
+the same tree.  A homothetic rescaling multiplies E, f and
 lambda_bar by eps^2, so its oracle is h_eps(t) = h_1(t/eps^2):
 ``dc.scaled(eps)`` reads the record of the unit system, and its searches
 minimize h_1(s) + psi in unit coordinates s = t/eps^2, so that a whole
@@ -59,7 +56,6 @@ sweep shares one record.
 
 from __future__ import annotations
 
-import copy
 import functools
 import heapq
 import math
@@ -84,14 +80,14 @@ from .spectral import neg_part, sym
 class HOracleResult:
     """One trace-constrained oracle call: primal X, dual multiplier, value.
 
-    ``projections`` are the orthogonal projections that X interpolates,
-    ascending by rank: (P_lt, P_le), the negative and non-positive
-    eigenprojections of D + lambda_dual*E (one array twice when no
-    eigenvalue sits in the zero band), with X = P_lt + theta*(P_le - P_lt),
-    or (X,) where X is itself a projection (the endpoint closed forms and the
-    BP result).  X itself is rebuilt from them on first read, by the
-    expression the oracle evaluated.  The penalized programs read one result
-    per record, the closed form at t = 0 (``_Pencil.ends``).
+    ``projections`` are the orthogonal projections that X interpolates:
+    (P_a, P_b), the projections of the two points of the record's gap tree
+    around t, ordered by their traces of E, Tr(E P_a) <= t <= Tr(E P_b),
+    with X = P_a + theta*(P_b - P_a), or (X,) where X is itself a projection
+    (the endpoint closed forms and the BP result).  X itself is rebuilt from
+    them on first read, by the expression the oracle evaluated.  The
+    penalized programs read one result per record, the closed form at t = 0
+    (``_Pencil.ends``).
     """
 
     t: float
@@ -105,7 +101,8 @@ class HOracleResult:
     def X(self) -> np.ndarray:
         if len(self.projections) == 1:
             return self.projections[0]
-        return _interpolate(*self.projections, self.theta)
+        p_a, p_b = self.projections
+        return p_a + self.theta * (p_b - p_a)
 
 
 @dataclass
@@ -137,45 +134,18 @@ def _rank_projection(p: np.ndarray) -> int:
 # --------------------------------------------------------------------------
 
 
-def _interpolate(p_lt: np.ndarray, p_le: np.ndarray, theta: float) -> np.ndarray:
-    return p_lt + theta * (p_le - p_lt)
-
-
-def _build_primal(D, E, t, lam, w, v, ztol):
-    """(primal, dual, (P_lt, P_le), theta) at the accepted multiplier, with
-    X = _interpolate(P_lt, P_le, theta)."""
-    lt = w < -ztol
-    le = w <= ztol
-    vlt = v[:, lt]
-    vle = v[:, le]
-    p_lt = vlt @ vlt.T
-    # lt is a subset of le: equal counts mean one projection, kept once
-    p_le = p_lt if vle.shape[1] == vlt.shape[1] else vle @ vle.T
-    g_lo = float(np.sum((E @ vlt) * vlt))
-    g_hi = float(np.sum((E @ vle) * vle))
-    if g_hi - g_lo > 1e-15 * (1.0 + abs(g_hi)):
-        theta = min(max((t - g_lo) / (g_hi - g_lo), 0.0), 1.0)
-    else:
-        theta = 0.0
-    primal = float(np.sum(D * _interpolate(p_lt, p_le, theta)))
-    # exact dual value phi(lam) = sum_i min(mu_i, 0) - lam*t: a valid lower
-    # bound at any multiplier, independent of the zero classification
-    dual = float(np.sum(np.minimum(w, 0.0))) - lam * t
-    return primal, dual, (p_lt, p_le), theta
-
-
 class _Pencil:
     """Per-(D, E) data of the trace oracle, shared by every ``h_eq`` call and
-    every penalized search on the same pair: the symmetrized matrices, Tr E,
-    the spectrum and norm of D and the projection onto its negative
+    every penalized search on the same pair: the symmetrized matrices, their
+    traces, the spectrum and norm of D and the projection onto its negative
     eigenspace (the BP optimum), all from one ``eigh`` of D, and, on first
     use, the split of E into range and kernel (``e_split``), the norm of E,
-    the jumps of the supergradient (see ``jumps`` and ``_multiplier``), the
-    trace t_bar of E against the BP projection, the ends of the penalized
-    searches (``ends``), in ``probes`` the O(n) summary (``_Probe``) of every
-    multiplier probed, which the later calls read instead of solving
-    D + lam*E again, and in ``gaps`` the refinement tree of the penalized
-    searches (see ``refine``).
+    the trace t_bar of E against the BP projection, the points of the graph
+    of h that every search starts from (``ends``, ``bp_point``, ``top``), in
+    ``probes`` the points (``_Point``) that each multiplier probed gave, which
+    the later calls read instead of solving D + lam*E again, and in ``gaps``
+    the refinement tree that ``h_eq`` and the penalized searches descend
+    (see ``refine``).
 
     ``DerivedCoefficients.pencil`` holds one per unit-scale coefficient
     system, and every homothetic rescaling of it reads the same record: with
@@ -186,25 +156,30 @@ class _Pencil:
     def __init__(self, D: np.ndarray, E: np.ndarray):
         self.D = sym(D)
         self.E = sym(E)
+        self.trD = float(np.trace(self.D))
         self.trE = float(np.trace(self.E))
         # eigD ascending; D's eigenvectors are not kept
         self.eigD, v = np.linalg.eigh(self.D)
         self.normD = float(np.max(np.abs(self.eigD), initial=0.0))
         self.bp = neg_part(self.eigD, v)
-        self.probes: dict[float, _Probe] = {}
+        self.probes: dict[float, tuple[_Point, ...]] = {}
         self.gaps: dict[tuple[float, float], tuple[_Point, ...]] = {}
         # the latest split solved (see ``split``)
-        self._split: tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._split: tuple[float, tuple[np.ndarray, np.ndarray]] | None = None
 
     @functools.cached_property
     def e_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(we, ve, ker, wk, uk): E = ve diag(we) ve^T (we ascending), the mask
         of its kernel, we <= 1e-12*(1 + |E|), and D's block on that kernel,
-        V_K^T D V_K = uk diag(wk) uk^T with V_K = ve[:, ker].  The spectrum of
-        E, the jumps and the endpoint closed forms of ``h_eq`` read it."""
+        V_K^T D V_K = uk diag(wk) uk^T with V_K = ve[:, ker] (empty, with no
+        eigensolve, when E is nonsingular).  The spectrum of E and the
+        endpoint closed forms of ``h_eq`` read it."""
         we, ve = np.linalg.eigh(self.E)
         ker = we <= 1e-12 * (1.0 + float(np.max(np.abs(we), initial=0.0)))
-        wk, uk = np.linalg.eigh(sym(ve[:, ker].T @ self.D @ ve[:, ker]))
+        if ker.any():
+            wk, uk = np.linalg.eigh(sym(ve[:, ker].T @ self.D @ ve[:, ker]))
+        else:
+            wk, uk = np.empty(0), np.empty((0, 0))
         return we, ve, ker, wk, uk
 
     @property
@@ -226,272 +201,162 @@ class _Pencil:
 
     @functools.cached_property
     def t_bar(self) -> float:
-        """Tr(E P_BP), clamped to [0, Tr E]: the right end of every search."""
+        """Tr(E P_BP), clamped to [0, Tr E]: h is nonincreasing on [0, t_bar]
+        and nondecreasing on [t_bar, Tr E]."""
         return min(max(float(np.sum(self.E * self.bp)), 0.0), self.trE)
+
+    def closed_form(self, top: bool) -> tuple[np.ndarray, float]:
+        """(X, h) at t = 0, or at t = Tr E if ``top``.  At the trace endpoints
+        the multiplier runs away, but the optimum is closed-form: Tr(E X) = 0
+        forces X onto ker E, and Tr(E X) = Tr E forces X = I on range E,
+        leaving a free box minimization on ker E."""
+        _, ve, ker, wk, uk = self.e_split
+        x = np.zeros_like(self.D)
+        value = 0.0
+        if top:
+            vr = ve[:, ~ker]
+            pr = vr @ vr.T
+            x += pr
+            value += float(np.sum(self.D * pr))
+        neg = wk < -1e-13 * (1.0 + self.normD)  # empty when E is nonsingular
+        un = ve[:, ker] @ uk[:, neg]
+        x += un @ un.T
+        value += float(np.sum(wk[neg]))
+        return x, value
+
+    @functools.cached_property
+    def bp_point(self) -> _Point:
+        """The BP projection at t_bar, with the flat line h >= sum min(eig D, 0)
+        of lam = 0, which holds at every s."""
+        c = float(np.sum(np.minimum(self.eigD, 0.0)))
+        return _Point(self.t_bar, self.bp_result.value, 0.0, c, c, proj=self.bp)
 
     @functools.cached_property
     def ends(self) -> tuple[_Point, ...]:
-        """The ends of every search: ``h_eq``'s closed form at t = 0, with no
-        line (its multiplier runs away), and, where t_bar > 0, the BP
-        projection, with the flat line h >= sum min(eig D, 0) of lam = 0."""
+        """The ends of the penalized searches: ``h_eq``'s closed form at t = 0,
+        with no line (its multiplier runs away), and, where t_bar > 0, the BP
+        point."""
         r = h_eq(self.D, self.E, 0.0, pencil=self)
-        origin = _Point(0.0, r.value, None, 0.0, proj=r.X)
-        if self.t_bar <= 0.0:
-            return (origin,)
-        c = float(np.sum(np.minimum(self.eigD, 0.0)))
-        return origin, _Point(self.t_bar, self.bp_result.value, c, 0.0, proj=self.bp)
+        origin = _Point(0.0, r.value, 0.0, proj=r.X)
+        return (origin, self.bp_point) if self.t_bar > 0.0 else (origin,)
 
-    def split(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, v, E v) of D + lam*E, kept for the latest lam alone: a slope or
-        a projection reads it right after its probe.  Raw eigh (no sign
-        fixing) is fine: only spectral projections, sign-invariant, are read."""
+    @functools.cached_property
+    def top(self) -> _Point:
+        """The closed form at t = Tr E, with no line: the right end of the
+        tree above t_bar."""
+        x, value = self.closed_form(top=True)
+        return _Point(self.trE, value, 0.0, proj=x)
+
+    def split(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) of D + lam*E, kept for the latest lam alone: a projection
+        reads it right after its probe.  Raw eigh (no sign fixing) is fine:
+        only spectral projections, sign-invariant, are read."""
         if self._split is None or self._split[0] != lam:
-            w, v = np.linalg.eigh(self.D + lam * self.E)
-            self._split = (lam, (w, v, self.E @ v))
+            self._split = (lam, np.linalg.eigh(self.D + lam * self.E))
         return self._split[1]
 
-    def probe(self, lam: float) -> _Probe:
-        """The record's summary of D + lam*E; an eigensolve only for a new lam."""
-        p = self.probes.get(lam)
-        if p is None:
-            w, v, ev = self.split(lam)
-            p = self.probes[lam] = _Probe(lam, w, np.einsum("ij,ij->j", v, ev))
-        return p
+    def probe(self, lam: float) -> tuple[_Point, ...]:
+        """The points of the graph of h that D + lam*E gives, ascending: the
+        traces and values of its negative and, if its trace differs, its
+        non-positive eigenprojection, which minimize h(s) + lam*s; an
+        eigensolve only for a new lam.
+
+        Eigenvalues within a machine-precision-relative band of zero count as
+        zero: only the genuinely crossing eigenvalue should (a wide band would
+        leak into the duality gap).  With w the eigenvalues and e the diagonal
+        of E in their eigenbasis, a projection P onto the columns in a mask
+        has Tr(E P) = sum e and Tr(D P) = sum w - lam*Tr(E P), and both
+        carry the weak-duality line h(s) >= c - lam*s, c = sum min(w, 0).  For
+        lam < 0, where P is near I and those sums cancel terms of size
+        |lam|*Tr E, the trace and value are read from the complement I - P
+        instead, Tr E - Tr(E (I - P)) and Tr D - Tr(D (I - P)), and the line
+        from its value at the point itself.  A point holds its mask, not the
+        eigenvectors (n^2 floats each): ``split`` keeps those of the latest
+        lam only."""
+        pts = self.probes.get(lam)
+        if pts is None:
+            w, v = self.split(lam)
+            e = np.einsum("ij,ij->j", v, self.E @ v)  # v_j^T E v_j >= 0 up to rounding
+            c = float(np.sum(np.minimum(w, 0.0)))
+
+            def point(cols: np.ndarray) -> _Point:
+                if lam >= 0.0:
+                    g = float(np.sum(e[cols]))
+                    h = float(np.sum(w[cols])) - lam * g
+                    return _Point(g, h, lam, c, c - lam * g, cols=cols)
+                gc = float(np.sum(e[~cols]))
+                g, h = self.trE - gc, self.trD - (float(np.sum(w[~cols])) - lam * gc)
+                # the line at g: h plus the eigenvalues of the band on the
+                # wrong side of zero, no term of size |lam|*Tr E
+                d = (h + float(np.sum(np.minimum(w[~cols], 0.0)))
+                     - float(np.sum(np.maximum(w[cols], 0.0))))
+                return _Point(g, h, lam, d + lam * g, d, cols=cols)
+
+            ztol = 1e-13 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+            lo, hi = point(w < -ztol), point(w <= ztol)
+            pts = self.probes[lam] = (lo, hi) if hi.s > lo.s else (lo,)
+        return pts
 
     def refine(self, a: _Point, b: _Point) -> tuple[_Point, ...]:
         """The points strictly inside the gap (a, b) that a probe at its chord
         slope finds, ascending; none when h is linear on [a, b].
 
         With lam the chord slope, h(s) + lam*s is convex, equal at a and b,
-        and minimal on the probe's trace interval [g_lo, g_hi]: if that
-        interval has no point inside (a, b), h + lam*s is constant on
-        [a, b].  A chord slope depends on h alone, so the record keeps the
-        answer for every search, keyed by the traces of the gap's ends."""
+        and minimal on the probe's trace interval: if that interval has no
+        point inside (a, b), h + lam*s is constant on [a, b].  A chord slope
+        depends on h alone, so the record keeps the answer for every search,
+        keyed by the traces of the gap's ends."""
         key = (a.s, b.s)
         kids = self.gaps.get(key)
         if kids is None:
             lam = (a.h - b.h) / (b.s - a.s)
             kids = ()
-            if lam > 0.0:  # else the chord is flat: h is constant on [a, b]
-                p = self.probe(lam)
-                ends = [_Point(p.g_lo, p.h_lo, p.c, lam, cols=p.w < -p.ztol)]
-                if p.g_hi > p.g_lo:
-                    ends.append(_Point(p.g_hi, p.h_hi, p.c, lam, cols=p.w <= p.ztol))
+            if lam != 0.0:  # else the chord is flat: h is constant on [a, b]
+                pts = self.probe(lam)
+                if len(pts) == 2:
                     # h is linear between the two
-                    self.gaps.setdefault((p.g_lo, p.g_hi), ())
-                kids = tuple(q for q in ends if a.s < q.s < b.s)
+                    self.gaps.setdefault((pts[0].s, pts[1].s), ())
+                kids = tuple(q for q in pts if a.s < q.s < b.s)
             self.gaps[key] = kids
         return kids
-
-    @functools.cached_property
-    def jumps(self) -> np.ndarray:
-        """Sorted multipliers lam at which an eigenvalue of D + lam*E crosses
-        zero (the finite eigenvalues of the pencil (D, -E)), from ``e_split``.
-
-        As E >= 0, in its eigenbasis (range R with eigenvalues Lam, kernel K)
-        they are -eig(M), M = Lam^-1/2 S Lam^-1/2 with S = D_RR - B diag(1/w) B^T
-        the Schur complement over the nonsingular part w of D_KK (B is D_RK
-        on w's eigenvectors), restricted to the orthogonal complement of
-        range(Lam^-1/2 D_RK Z0), Z0 the null space of D_KK.  A z in Z0 with D_RK z = 0 is a common null vector of
-        D and E (a singular pencil): its eigenvalue of D + lam*E is 0 at
-        every lam, so it gives no jump.
-        """
-        we, ve, ker, wk, uk = self.e_split
-        a = ve.T @ self.D @ ve  # D in E's eigenbasis
-        r = 1.0 / np.sqrt(we[~ker])
-        drk = a[np.ix_(~ker, ker)] @ uk
-        nz = np.abs(wk) > 1e-13 * (1.0 + self.normD)
-        m = r[:, None] * (a[np.ix_(~ker, ~ker)] - (drk[:, nz] / wk[nz]) @ drk[:, nz].T) * r
-        c = drk[:, ~nz]
-        if c.shape[1]:
-            # the rank of D_RK Z0 at the resolution of its Gram matrix
-            rank = int(np.sum(np.linalg.eigvalsh(c.T @ c) > 1e-12 * (1.0 + self.normD) ** 2))
-            g = r[:, None] * c
-            q = np.linalg.eigh(g @ g.T)[1][:, : r.size - rank]
-            m = q.T @ m @ q
-        return np.unique(-np.linalg.eigvalsh(sym(m)))
-
-
-class _Probe:
-    """O(n) summary of the spectral split of D + lam*E at one multiplier: the
-    eigenvalues ``w`` and the diagonal ``diag`` of E in their eigenbasis.
-
-    ``g_lo``/``g_hi`` are the traces of E against the negative and the
-    non-positive eigenspaces (the ends of the supergradient interval, shifted
-    by t), and ``h_lo``/``h_hi`` the values Tr(D P) of those projections,
-    sum_{w in P} w - lam*Tr(E P); eigenvalues within ``ztol`` of zero count
-    as zero.  ``c`` is the dual value sum min(w, 0), so h(s) >= c - lam*s for
-    every s.  ``slope`` is g'(lam) once ``_multiplier`` has computed it, else
-    None.  An entry holds no eigenvectors (n^2 floats each):
-    ``_Pencil.probes`` keeps one per multiplier probed, and ``_Pencil.split``
-    keeps the eigenvectors of the latest one only.
-    """
-
-    __slots__ = ("lam", "w", "diag", "slope", "c", "ztol", "g_lo", "g_hi", "h_lo", "h_hi")
-
-    def __init__(self, lam: float, w: np.ndarray, diag: np.ndarray):
-        self.lam = lam
-        self.w = w
-        self.diag = diag  # v_j^T E v_j >= 0 up to rounding
-        self.slope: float | None = None
-        self.c = float(np.sum(np.minimum(w, 0.0)))
-        # the zero band is machine-precision-relative: only the genuinely
-        # crossing eigenvalue should be treated as zero (a wide band would
-        # leak into the duality gap)
-        self._classify(1e-13 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
-
-    def _classify(self, ztol: float) -> None:
-        self.ztol = ztol
-        lt, le = self.w < -ztol, self.w <= ztol
-        self.g_lo = float(np.sum(self.diag[lt]))
-        self.g_hi = float(np.sum(self.diag[le]))
-        self.h_lo = float(np.sum(self.w[lt])) - self.lam * self.g_lo
-        self.h_hi = float(np.sum(self.w[le])) - self.lam * self.g_hi
-
-    def widened(self, pen: _Pencil) -> "_Probe":
-        """The same split with the zero band widened to absorb the rounding
-        of an eigenvalue that crosses zero at a jump; no eigensolve."""
-        p = copy.copy(self)
-        p._classify(max(self.ztol, 1e-10 * (1.0 + pen.normD + abs(self.lam) * pen.normE)))
-        return p
 
 
 class _Point:
     """A point (s, h) of the graph of h in unit coordinates, the trace and
     value of a projection P, with the weak-duality line h(x) >= c - lam*x of
-    its multiplier and that line's value d at s (c and d None at the origin,
-    whose multiplier runs away).  P is given, or formed on first read from
-    the columns ``cols`` of the split at lam."""
+    its multiplier and that line's value d at s (c and d None at the closed
+    forms of t = 0 and t = Tr E, whose multiplier runs away).  ``line``
+    evaluates it from d, near the point (for lam < 0, d has no term of size
+    |lam|*Tr E; see ``_Pencil.probe``).  P is given, or formed from the
+    columns ``cols`` of the split at lam and, if ``keep``, kept: the searches
+    read their best points' again, while ``h_eq`` keeps none, as each call
+    would leave an n^2 array in the record."""
 
-    __slots__ = ("s", "h", "c", "lam", "d", "_proj", "_cols")
+    __slots__ = ("s", "h", "lam", "c", "d", "_proj", "_cols")
 
-    def __init__(self, s: float, h: float, c: float | None, lam: float,
-                 proj: np.ndarray | None = None, cols: np.ndarray | None = None):
-        self.s, self.h, self.c, self.lam, self._proj, self._cols = s, h, c, lam, proj, cols
-        self.d = None if c is None else c - lam * s
+    def __init__(self, s: float, h: float, lam: float, c: float | None = None,
+                 d: float | None = None, proj: np.ndarray | None = None,
+                 cols: np.ndarray | None = None):
+        self.s, self.h, self.lam, self.c, self.d = s, h, lam, c, d
+        self._proj, self._cols = proj, cols
 
-    def projection(self, pen: _Pencil) -> np.ndarray:
-        if self._proj is None:
-            u = pen.split(self.lam)[1][:, self._cols]
-            self._proj = u @ u.T
-        return self._proj
+    def line(self, x: float) -> float:
+        return self.d - self.lam * (x - self.s)
+
+    def projection(self, pen: _Pencil, keep: bool = True) -> np.ndarray:
+        if self._proj is not None:
+            return self._proj
+        u = pen.split(self.lam)[1][:, self._cols]
+        p = u @ u.T
+        if keep:
+            self._proj = p
+        return p
 
 
-# probes inside one segment (Newton steps and bisections); bisection alone
-# reaches float resolution from any finite bracket in fewer
-_MAX_STEPS = 100
-
-
-def _multiplier(pen: _Pencil, t: float, gap_tol: float) -> tuple[_Probe, np.ndarray]:
-    """Dual multiplier of h(t): the probe at which it is accepted and that
-    probe's eigenvectors.
-
-    The supergradient of the dual at lam is [g_lo, g_hi] - t, where
-    g(lam) = Tr(E P_neg(D + lam*E)).  g is nonincreasing in lam; it jumps
-    only at the pencil eigenvalues, where an eigenvalue of D + lam*E crosses
-    zero, and is smooth between two of them with slope
-    g'(lam) = 2 sum_{i neg, j non-neg} (v_i^T E v_j)^2 / (mu_i - mu_j) <= 0
-    (zero when D and E commute).  A binary search over the sorted jumps finds
-    the jump or the open segment that contains t; safeguarded Newton on g - t
-    and bisection finish inside the segment.
-
-    The search starts from a finite bracket given by weak duality.  For
-    0 < t < Tr E, X = I gives phi(lam) <= Tr D + lam*(Tr E - t) and X = 0
-    gives phi(lam) <= -lam*t; both fall below phi(0) = sum min(eig D, 0)
-    outside [-sum max(eig D, 0)/(Tr E - t), sum max(-eig D, 0)/t], so every
-    maximizer lies inside it.  Its ends are widened for rounding by adding
-    1e-9*(1 + |D|) to both sums.  An end of the bracket bounds a segment only
-    where no jump lies beyond it: never for a nonsingular E, whose jumps
-    reach g = Tr E and g = 0, and for a singular E the bracket is finite as
-    ``h_eq`` keeps t at least 1e-9*Tr E from both trace ends.
-
-    Every call on one pencil probes the same jumps and the same first
-    bisection of each inner segment, so each probe is read from ``pen.probes``
-    and only a multiplier probed for the first time costs an eigensolve
-    (again for the eigenvectors of an entry once ``pen.split`` moved on).
-    """
-    trE = pen.trE
-
-    def slope(p: _Probe) -> float:
-        """g'(lam), valid when no eigenvalue sits in the zero band."""
-        if p.slope is None:
-            _, v, ev = pen.split(p.lam)
-            neg = p.w < -p.ztol
-            m = v[:, neg].T @ ev[:, ~neg]
-            gaps = p.w[neg][:, None] - p.w[~neg][None, :]
-            p.slope = 2.0 * float(np.sum(m * m / gaps))
-        return p.slope
-
-    def done(p: _Probe) -> tuple[_Probe, np.ndarray]:
-        return p, pen.split(p.lam)[1]
-
-    def accepted(p: _Probe) -> bool:
-        if p.g_lo <= t <= p.g_hi:
-            return True
-        # away from the jumps the supergradient is single-valued and the
-        # duality gap is exactly |lam|*|g - t|, so a near-miss with a tiny
-        # trace slip already certifies the required accuracy
-        miss = max(p.g_lo - t, t - p.g_hi)
-        return miss * abs(p.lam) <= gap_tol and miss <= 1e-9 * trE
-
-    pad = 1e-9 * (1.0 + pen.normD)
-    # the weak-duality bracket: g(lo) > t > g(hi)
-    lo = -(float(np.sum(np.maximum(pen.eigD, 0.0))) + pad) / (trE - t)
-    hi = (pad - float(np.sum(np.minimum(pen.eigD, 0.0)))) / t
-    i, j = 0, pen.jumps.size
-    while i < j:
-        k = (i + j) // 2
-        p = pen.probe(float(pen.jumps[k]))
-        if accepted(p):
-            return done(p)
-        # t inside this jump, whose crossing eigenvalue rounding pushed out
-        # of the zero band (the band is empty: g_lo == g_hi): the widened
-        # band recovers it from the same split
-        if p.g_lo == p.g_hi:
-            wide = p.widened(pen)
-            if accepted(wide):
-                return done(wide)
-        if p.g_lo > t:
-            lo, i = p.lam, k + 1
-        else:
-            hi, j = p.lam, k
-
-    # t lies inside the smooth segment (lo, hi).  Bisection halves
-    # asinh(lam/scale): the arithmetic midpoint near the natural multiplier
-    # scale |D|/|E|, the geometric one far beyond it, where the jumps of a
-    # nearly singular E or D_KK sit
-    scale = pen.normD / pen.normE or 1.0
-
-    def bisect() -> float:
-        mid = scale * math.sinh(0.5 * (math.asinh(lo / scale) + math.asinh(hi / scale)))
-        return mid if lo < mid < hi else 0.5 * (lo + hi)
-
-    step = hi - lo
-    lam = bisect()
-    for _ in range(_MAX_STEPS):
-        p = pen.probe(lam)
-        if accepted(p):
-            return done(p)
-        if p.g_lo > t:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 4e-16 * (1.0 + abs(lo) + abs(hi)):
-            break
-        # Newton where g is smooth (no eigenvalue in the zero band), with the
-        # rtsafe safeguard: a step must stay inside the bracket and at least
-        # halve the previous one, so the bracket shrinks geometrically
-        s = slope(p) if p.g_lo == p.g_hi else 0.0
-        nxt = lam - (p.g_lo - t) / s if s < 0.0 else math.nan
-        if not (lo < nxt < hi and abs(nxt - lam) <= 0.5 * step):
-            nxt = bisect()
-        step = abs(nxt - lam)
-        lam = nxt
-    else:
-        return done(p)  # budget spent: the duality-gap check rejects this probe
-    # the bracket collapsed at float resolution, onto a jump whose crossing
-    # eigenvalue rounding pushed out of the zero band: widen the band there
-    return done(pen.probe(0.5 * (lo + hi)).widened(pen))
+# probes one ``h_eq`` call may make; on a smooth stretch of h a probe about
+# halves the gap around t, and the deepest call of the oracle fuzz and of
+# targets within 1e-9*Tr E of an end of a nearly singular E makes 20
+_MAX_PROBES = 100
 
 
 def h_eq(
@@ -503,18 +368,24 @@ def h_eq(
 ) -> HOracleResult:
     """min Tr(D X) over {0 <= X <= I, Tr(E X) = t}, with a gap certificate.
 
-    The value is the maximum of the concave dual
-    phi(lam) = sum_i min(mu_i(D + lam*E), 0) - lam*t, whose supergradient
-    g(lam) - t is nonincreasing in lam, smooth between the generalized
-    eigenvalues of the pencil (D, -E) and jumps only at them.  The returned
-    X interpolates the negative and non-positive eigenprojections at the
-    accepted multiplier, and ``abs(value - dual_value) <= tol`` is checked
-    (``OracleDiverged`` otherwise).  E must be positive semidefinite up to
-    1e-12*(1 + |E|) (``NotPSD`` otherwise).  ``pencil`` is the shared
-    ``_Pencil`` of (D, E), for callers that evaluate many t on the same pair.
+    h is convex, so a chord between two points of its graph bounds it above
+    and the weak-duality line of either point, h(s) >= c - lam*s, bounds it
+    below.  Below t_bar the call descends the record's gap tree (see
+    ``_Pencil.refine``) from the root [0, t_bar], above it from
+    [t_bar, Tr E], to the gap [a, b] that holds t, until the chord at t is
+    within ``tol`` of the better of a's and b's lines at t.  X is the
+    interpolation of a's and b's projections with Tr(E X) = t, ``value`` the
+    chord, ``dual_value`` that line and ``lambda_dual`` its multiplier;
+    ``OracleDiverged`` if no gap certifies within ``_MAX_PROBES`` probes.  At
+    t = 0 and t = Tr E (within the rounding of the trace) the optimum is
+    closed-form.  E must be positive semidefinite up to 1e-12*(1 + |E|)
+    (``NotPSD`` otherwise).  ``pencil`` is the shared ``_Pencil`` of (D, E),
+    for callers that evaluate many t on the same pair; a call on it returns
+    bitwise what one on a fresh record does, as the descent from the root is
+    deterministic.
     """
     pen = _Pencil(D, E) if pencil is None else pencil
-    D, E, trE, normD, normE = pen.D, pen.E, pen.trE, pen.normD, pen.normE
+    trE, normD, normE = pen.trE, pen.normD, pen.normE
     if pen.eigE[0] < -1e-12 * (1.0 + normE):
         raise NotPSD(f"E has eigenvalue {pen.eigE[0]:.3e}; the trace program needs E >= 0")
     # relative to Tr E, so that a target outside [0, Tr E] is rejected at
@@ -530,38 +401,40 @@ def h_eq(
         # E vanishes: the constraint is vacuous at t ~ 0
         return replace(pen.bp_result, t=t)
 
-    _, ve, ker, wk, uk = pen.e_split
-    # h falls strictly inside any band around the endpoints, where the closed
-    # form below holds: a nonsingular E needs no band (the jumps of g reach
-    # them); a singular E snaps t within 1e-9*Tr E (scale-free) to them, as
-    # the search can miss its gap tolerance that close to an endpoint
-    snap = 1e-9 * trE if ker.any() else 0.0
+    # a target within the rounding of a trace of E from an end is that end
+    snap = 4.0 * pen.D.shape[0] * np.finfo(float).eps * trE
     if t <= snap or t >= trE - snap:
-        # at the trace endpoints the multiplier runs away, but the optimum is
-        # closed-form: Tr(E X) = 0 forces X onto ker E, and Tr(E X) = Tr E
-        # forces X = I on range E, leaving a free box minimization on ker E
-        x = np.zeros_like(D)
-        value = 0.0
-        if t >= trE - snap:
-            vr = ve[:, ~ker]
-            pr = vr @ vr.T
-            x += pr
-            value += float(np.sum(D * pr))
-        neg = wk < -1e-13 * (1.0 + normD)  # empty when E is nonsingular
-        un = ve[:, ker] @ uk[:, neg]
-        x += un @ un.T
-        value += float(np.sum(wk[neg]))
+        x, value = pen.closed_form(top=t >= trE - snap)
         return HOracleResult(t=t, value=value, lambda_dual=0.0, dual_value=value,
                              projections=(x,))
 
-    p, v = _multiplier(pen, t, gap_tol=0.25 * tol)
-    primal, dual, projections, theta = _build_primal(D, E, t, p.lam, p.w, v, p.ztol)
-    if abs(primal - dual) > tol:
+    a, b = pen.ends if t <= pen.t_bar else (pen.bp_point, pen.top)
+    for probes in range(_MAX_PROBES + 1):
+        theta = (t - a.s) / (b.s - a.s)
+        value = a.h + theta * (b.h - a.h)
+        # the closed forms at the ends have no line
+        sup = max((p for p in (a, b) if p.d is not None), key=lambda p: p.line(t), default=None)
+        dual = -math.inf if sup is None else sup.line(t)
+        if value - dual <= tol or probes == _MAX_PROBES:
+            break
+        kids = pen.refine(a, b)
+        if not kids:
+            # h is linear on [a, b]: the line of its chord slope, which
+            # ``refine`` probed, supports all of it (for a flat chord, the BP
+            # point's flat line)
+            lam = (a.h - b.h) / (b.s - a.s)
+            sup = pen.probe(lam)[0] if lam != 0.0 else pen.bp_point
+            dual = sup.line(t)
+            break
+        i = sum(q.s < t for q in kids)
+        a, b = (a, *kids, b)[i:i + 2]
+    if abs(value - dual) > tol:
         raise OracleDiverged(
-            f"duality gap {abs(primal - dual):.3e} exceeds tolerance {tol:.3e} "
+            f"duality gap {abs(value - dual):.3e} exceeds tolerance {tol:.3e} "
             f"at t={t}"
         )
-    return HOracleResult(t=t, value=primal, lambda_dual=p.lam, dual_value=dual,
+    projections = (a.projection(pen, keep=False), b.projection(pen, keep=False))
+    return HOracleResult(t=t, value=value, lambda_dual=sup.lam, dual_value=dual,
                          projections=projections, theta=theta)
 
 

@@ -502,9 +502,9 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_step_budget_fails_typed(monkeypatch):
-    # an oracle call that spends its step budget inside a segment returns its
-    # last probe, whose duality gap fails the certificate: OracleDiverged
-    monkeypatch.setattr(programs, "_MAX_STEPS", 1)
+    # an oracle call that spends its probe budget before a gap of the tree
+    # around t certifies fails the duality-gap check: OracleDiverged
+    monkeypatch.setattr(programs, "_MAX_PROBES", 1)
     rng = np.random.default_rng(0)
     d, e = random_sym(rng, 6), random_psd(rng, 6)
     with pytest.raises(OracleDiverged, match="duality gap"):

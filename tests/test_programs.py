@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import random_psd, random_reduced_game, random_sym, trace_box_oracle
 from lqpersuasion import (
@@ -58,8 +57,14 @@ def test_h_eq_diagonal_closed_form():
 
 
 # D's block on ker E is 0 and D couples it to range E: the pencil (D, -E) has
-# no finite eigenvalue, so g never jumps and h(t) = -2*sqrt(t*(1 - t))
+# no finite eigenvalue, so h is smooth, h(t) = -2*sqrt(t*(1 - t))
 _JUMP_FREE = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
+
+
+def _rotated(rng, d, ed):
+    """(Q D Q^T, Q diag(ed) Q^T) for a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.normal(size=d.shape))
+    return q @ d @ q.T, (q * ed) @ q.T
 
 
 def _oracle_fuzz_cases(rng):
@@ -79,6 +84,19 @@ def _oracle_fuzz_cases(rng):
         yield (q * w) @ q.T, np.eye(n)
     for _ in range(3):
         yield random_sym(rng, 20), random_psd(rng, 20, rank=1)
+    for n in (5, 30):
+        # rank-one E, with a random D and with D = 2E - I, whose every
+        # target lies inside the one jump of g
+        u = rng.normal(size=n)
+        yield random_sym(rng, n), np.outer(u, u)
+        yield 2.0 * np.outer(u, u) - np.eye(n), np.outer(u, u)
+    for n, r in ((4, 2), (8, 3), (12, 9)):
+        # D's block on E's kernel (the last n - r coordinates) is singular
+        d = random_sym(rng, n)
+        w, u = np.linalg.eigh(d[r:, r:])
+        w[0] = 0.0
+        d[r:, r:] = (u * w) @ u.T
+        yield _rotated(rng, d, np.r_[rng.uniform(0.2, 2.0, r), np.zeros(n - r)])
     yield _JUMP_FREE
 
 
@@ -113,34 +131,32 @@ def test_h_eq_primal_dual_and_feasibility_fuzz():
                 if s == 1.0:
                     unscaled = res.value
                 assert abs(res.value - unscaled) <= gap_tol
-                _assert_interpolates_projections(res)
+                _assert_interpolates_projections(res, s * e)
 
 
-def _assert_interpolates_projections(res):
-    """res.projections are nested orthogonal projections, ascending by rank,
-    and X = P_lt + theta*(P_le - P_lt) for some theta in [0, 1]."""
+def _assert_interpolates_projections(res, e):
+    """res.projections are orthogonal projections P_a, P_b ordered by their
+    traces of E around t, Tr(E P_a) <= t <= Tr(E P_b), and
+    X = P_a + theta*(P_b - P_a) for some theta in [0, 1]."""
     ps = res.projections
     assert len(ps) in (1, 2)
-    ranks = []
     for p in ps:
         assert np.abs(p - p.T).max() <= 1e-14
         assert np.abs(p @ p - p).max() <= 1e-12
-        ranks.append(round(float(np.trace(p))))
-        assert float(np.trace(p)) == pytest.approx(ranks[-1], abs=1e-12)
-    p_lt, p_le = ps[0], ps[-1]
-    assert ranks == sorted(ranks)
-    assert np.abs(p_le @ p_lt - p_lt).max() <= 1e-12  # P_lt <= P_le
-    step = p_le - p_lt
+        assert float(np.trace(p)) == pytest.approx(round(float(np.trace(p))), abs=1e-12)
+    p_a, p_b = ps[0], ps[-1]
+    slack = 1e-12 * float(np.trace(e))
+    assert float(np.sum(e * p_a)) - slack <= res.t <= float(np.sum(e * p_b)) + slack
+    step = p_b - p_a
     den = float(np.sum(step * step))
-    theta = float(np.sum((res.X - p_lt) * step)) / den if den > 0.0 else 0.0
+    theta = float(np.sum((res.X - p_a) * step)) / den if den > 0.0 else 0.0
     assert -1e-12 <= theta <= 1.0 + 1e-12
-    assert np.abs(res.X - (p_lt + theta * step)).max() <= 1e-12
+    assert np.abs(res.X - (p_a + theta * step)).max() <= 1e-12
 
 
 def test_h_eq_jump_free_pencil():
     d, e = _JUMP_FREE
     pen = programs._Pencil(d, e)
-    assert pen.jumps.size == 0
     tol = 1e-9 * (1.0 + pen.normD + pen.normE)  # h_eq's default
     for t in (1e-6, 0.3, 0.7, 1.0 - 1e-6):
         res = h_eq(d, e, t, pencil=pen)
@@ -148,8 +164,10 @@ def test_h_eq_jump_free_pencil():
 
 
 def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
-    # one binary search over the pencil eigenvalues plus a few Newton steps:
-    # a bounded number of eigensolves per call, not one per pencil eigenvalue
+    # a cold call descends the gap tree from its root, one probe per level
+    # (each about halves the gap on a smooth stretch of h), and reads two
+    # projections: a bounded number of eigensolves per call, not one per
+    # pencil eigenvalue
     eigh = np.linalg.eigh
     calls = [0]
 
@@ -171,7 +189,7 @@ def test_h_eq_eigensolves_per_call_do_not_grow_with_n(monkeypatch):
                 n_calls += 1
         assert calls[0] / n_calls <= 16.0, (n, calls[0] / n_calls)
     # rank-one E with D = 2E - I: every target lies inside the one true jump,
-    # where rounding can push the crossing eigenvalue out of the zero band
+    # a linear piece of h that one probe at its chord slope closes
     calls[0] = 0
     u = rng.normal(size=100)
     e = np.outer(u, u)
@@ -197,8 +215,7 @@ def _memo_pair(case):
         return _JUMP_FREE
     # rank-one E with D = 2E - I: every target lies inside the one true jump.
     # At |u|^2 ~ 1e4 the entries of D + lam*E cancel at the jump with a
-    # rounding error beyond the zero band, which pushes the crossing
-    # eigenvalue out of it; the widened band recovers it
+    # rounding error beyond the zero band
     u = 10.0 * np.random.default_rng(34).normal(size=100)
     e = np.outer(u, u)
     return 2.0 * e - np.eye(100), e
@@ -210,7 +227,6 @@ def test_h_eq_probe_memo_is_exact(monkeypatch, case):
     # memo; each result must be bitwise the one a fresh pencil computes
     d, e = _memo_pair(case)
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
-    widened = _count_calls(monkeypatch, programs._Probe, "widened")
     trE = float(np.trace(e))
     qs = np.random.default_rng(38).permutation(np.linspace(0.05, 0.95, 10))
     shared = programs._Pencil(d, e)
@@ -222,19 +238,18 @@ def test_h_eq_probe_memo_is_exact(monkeypatch, case):
                      (g.lambda_dual, want.lambda_dual), (g.X, want.X)):
             assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
     # the shared calls did read entries of earlier calls: fewer multipliers
-    # than the fresh pencils eigensolved.  Without jumps every probe lies in
-    # a segment bounded by its own t's weak-duality bracket, so none is shared
-    if case != "jump-free":
-        assert len(shared.probes) < eigh[0], (len(shared.probes), eigh[0])
-    if case == "rank-one":
-        assert widened[0] > 0
+    # than the fresh pencils eigensolved, as every descent starts from the
+    # same root
+    assert len(shared.probes) < eigh[0], (len(shared.probes), eigh[0])
+    # and left no n^2 array in the record: a projection is formed per call
+    assert all(q._proj is None for pts in shared.probes.values() for q in pts)
 
 
 def test_programs_share_probes_on_one_record(monkeypatch):
-    # PP, POP and SPOP on one n=30 record probe the same pencil jumps and
-    # segment midpoints for every t, and the record solves each multiplier
-    # once (again only for an accepted probe of an earlier call).  Measured:
-    # 75 eigh calls, against 179 when each oracle call solved its own probes
+    # PP, POP and SPOP on one n=30 record descend one gap tree, and the
+    # record solves each multiplier once (again only for a projection read
+    # after the split moved on).  Measured: 13 eigh calls, against 179 when
+    # each oracle call solved its own probes
     qf = random_reduced_game(np.random.default_rng(34), 30)
     dc = derive_coefficients(qf, hypothesis_wasserstein(0.5, 30))
     ps = prior_stats(PriorSpec("gaussian", 30))
@@ -295,14 +310,58 @@ def test_h_eq_zero_e():
     assert res.value == pytest.approx(-2.0)
 
 
-def test_h_eq_nonsingular_e_has_no_endpoint_band():
-    # h keeps falling inside [0, 1e-9*Tr E] when E is nonsingular: the
-    # minimum at t = 5e-11 is -1/2, at X = diag(0, 1/2), where the closed
-    # form of the endpoint t = 0 reads 0 with a zero gap
-    res = h_eq(np.diag([1.0, -1.0]), np.diag([1.0, 1e-10]), 5e-11)
-    assert res.value == pytest.approx(-0.5, abs=1e-9)
-    assert abs(res.value - res.dual_value) <= 1e-9
-    assert np.allclose(res.X, np.diag([0.0, 0.5]), atol=1e-9)
+def _endpoint_band_case(case):
+    """(D, E, t, gap tolerance, value, X) of an ``h_eq`` target near an end
+    of [0, Tr E]; value and X are None where no closed form is known."""
+    if case == "nonsingular":
+        # h keeps falling inside [0, 1e-9*Tr E] when E is nonsingular: the
+        # minimum at t = 5e-11 is -1/2, at X = diag(0, 1/2), where the closed
+        # form of the endpoint t = 0 reads 0 with a zero gap
+        return (np.diag([1.0, -1.0]), np.diag([1.0, 1e-10]), 5e-11, 1e-9,
+                -0.5, np.diag([0.0, 0.5]))
+    if case == "singular-bottom":
+        # the same inside [0, 1e-9*Tr E] for a singular E: -3/2 at
+        # X = diag(0, 1/2, 1), where t = 0 reads -1
+        return (np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1e-10, 0.0]), 5e-11, 1e-9,
+                -1.5, np.diag([0.0, 0.5, 1.0]))
+    if case == "singular-top":
+        # and inside [Tr E - 1e-9*Tr E, Tr E]: -3/2 at X = diag(1, 1/2, 1),
+        # where t = Tr E reads -1
+        return (np.diag([-1.0, 1.0, -1.0]), np.diag([1.0, 1e-10, 0.0]), 1.0 + 0.5e-10, 1e-9,
+                -1.5, np.diag([1.0, 0.5, 1.0]))
+    if case == "nearly-singular-top":
+        # a nonsingular E with lambda_min(E) = 1e-7: near t = Tr E the
+        # multiplier is about -|D|/lambda_min(E), where sums of D + lam*E
+        # cancel terms of size |lam|*Tr E
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(4, 4))
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        e = (q * np.array([1e-7, 0.5, 1.0, 2.0])) @ q.T
+        d = a + a.T
+        tol = 1e-9 * (1.0 + np.abs(np.linalg.eigvalsh(d)).max() + 2.0)  # h_eq's default
+        return d, e, float(np.trace(e)) * (1.0 - 1e-9), tol, None, None
+    # Tr E >> t: X meets its trace target to the rounding of a trace of E,
+    # not merely within 1e-9*Tr E
+    rng = np.random.default_rng(202)
+    n = int(rng.integers(2, 8))
+    d, e = random_sym(rng, n), random_psd(rng, n)
+    tol = 1e-9 * (1.0 + np.abs(np.linalg.eigvalsh(d)).max() + np.linalg.eigvalsh(e).max())
+    return d, e, 1e-5 * float(np.trace(e)), tol, None, None
+
+
+@pytest.mark.parametrize("case", ["nonsingular", "singular-bottom", "singular-top",
+                                  "nearly-singular-top", "trace-slip"])
+def test_h_eq_nonsingular_e_has_no_endpoint_band(case):
+    d, e, t, tol, value, x = _endpoint_band_case(case)
+    res = h_eq(d, e, t)
+    assert abs(res.value - res.dual_value) <= tol
+    trE = float(np.trace(e))
+    assert abs(float(np.sum(e * res.X)) - t) <= 4.0 * len(d) * np.finfo(float).eps * trE
+    w = np.linalg.eigvalsh(res.X)
+    assert w.min() > -1e-12 and w.max() < 1.0 + 1e-12
+    if value is not None:
+        assert res.value == pytest.approx(value, abs=1e-9)
+        assert np.allclose(res.X, x, atol=1e-9)
 
 
 def test_pp_certified_with_nearly_singular_e():
@@ -343,70 +402,16 @@ def test_h_eq_rejects_indefinite_e():
         h_eq(-np.eye(2), np.diag([2.0, -1.0]), 0.0)
 
 
-def _qz_jumps(d, e):
-    """Real finite eigenvalues of the pencil (D, -E) by scipy's nonsymmetric
-    QZ, the independent reference for ``_Pencil.jumps``."""
-    mu = scipy.linalg.eigvals(d, -e)
-    real = np.isfinite(mu) & (np.abs(mu.imag) <= 1e-8 * (1.0 + np.abs(mu.real)))
-    return mu.real[real]
-
-
-def _rotated(rng, d, ed):
-    """(Q D Q^T, Q diag(ed) Q^T) for a random orthogonal Q."""
-    q, _ = np.linalg.qr(rng.normal(size=d.shape))
-    return q @ d @ q.T, (q * ed) @ q.T
-
-
-def _regular_pencils(rng):
-    for _ in range(40):
-        n = int(rng.integers(2, 12))
-        yield random_sym(rng, n), random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-    for n in (5, 30):  # rank-one E
-        u = rng.normal(size=n)
-        yield random_sym(rng, n), np.outer(u, u)
-        yield 2.0 * np.outer(u, u) - np.eye(n), np.outer(u, u)
-    for n in (3, 7, 12):  # commuting, E singular on every third coordinate
-        ed = rng.uniform(0.2, 2.0, n)
-        ed[::3] = 0.0
-        yield np.diag(rng.normal(size=n)), np.diag(ed)
-    for n, r in ((4, 2), (8, 3), (12, 9)):
-        # D's block on E's kernel (the last n - r coordinates) is singular
-        d = random_sym(rng, n)
-        w, u = np.linalg.eigh(d[r:, r:])
-        w[0] = 0.0
-        d[r:, r:] = (u * w) @ u.T
-        yield _rotated(rng, d, np.r_[rng.uniform(0.2, 2.0, r), np.zeros(n - r)])
-
-
-def test_pencil_jumps_match_qz():
-    # every jump is a QZ eigenvalue, and every QZ eigenvalue of moderate size
-    # is a jump.  QZ reports the infinite eigenvalues of a singular E as
-    # finite ones of order 1/eps, and of order 1/sqrt(eps) where D's block on
-    # E's kernel is singular too (about 1e8 here); the cut excludes them
-    rng = np.random.default_rng(39)
-    for d, e in _regular_pencils(rng):
-        pen = programs._Pencil(d, e)
-        ref = _qz_jumps(pen.D, pen.E)
-        for lam in pen.jumps:
-            assert np.min(np.abs(ref - lam)) <= 1e-8 * (1.0 + abs(lam)), (lam, ref)
-        for mu in ref[np.abs(ref) < 1e6 * pen.normD / pen.normE]:
-            assert np.min(np.abs(pen.jumps - mu), initial=np.inf) <= 1e-8 * (1.0 + abs(mu))
-
-
 def test_singular_pencil_jumps_are_those_of_its_regular_part():
     # a common null vector of D and E contributes an eigenvalue of D + lam*E
-    # that is 0 at every lam: it gives no jump (QZ returns an arbitrary
-    # number for it), and h is that of the pencil without it
+    # that is 0 at every lam: it gives no jump, and h is that of the pencil
+    # without it
     rng = np.random.default_rng(40)
     for n, r in ((3, 1), (6, 3), (10, 7)):
         d = random_sym(rng, n)
         d[:, -1] = d[-1, :] = 0.0
         ed = np.r_[rng.uniform(0.2, 2.0, r), np.zeros(n - r)]
         dq, eq = _rotated(rng, d, ed)
-        want = np.sort(_qz_jumps(d[:-1, :-1], np.diag(ed[:-1])))
-        got = programs._Pencil(dq, eq).jumps
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
         for q in (0.0, 0.3, 0.7, 1.0):
             t = q * float(ed.sum())
             ref = h_eq(d[:-1, :-1], np.diag(ed[:-1]), t).value
@@ -559,8 +564,8 @@ def test_solve_penalized_rejects_bad_tolerance(bench_dc):
 
 def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
     # PP, POP and SPOP minimize over the same h(t) of the same (D, E): each
-    # trace target is evaluated once and E, whose split gives the pencil
-    # jumps and the endpoint closed forms, is decomposed once
+    # trace target is evaluated once and E, whose split gives the endpoint
+    # closed forms, is decomposed once
     h_eq_orig = programs.h_eq
     targets: list[tuple[int, float]] = []
 
@@ -843,8 +848,8 @@ def _record_eigh_inputs(monkeypatch) -> list[bytes]:
 def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
     # every eps of a homothetic sweep reads the oracle of the unit-scale
     # system, h_eps(t) = h_1(t/eps^2), and PP, POP and SPOP descend the same
-    # refinement tree of it: one split of E (and so one set of pencil
-    # jumps) in all, and few oracle calls per eps
+    # refinement tree of it: one split of E in all, and few oracle calls
+    # per eps
     heq = _count_calls(monkeypatch, programs, "h_eq")
     eighs = _record_eigh_inputs(monkeypatch)
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
