@@ -331,18 +331,26 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _csv_rows(rows, with_mc: bool) -> str:
+def _csv_rows(rows, mc) -> str:
+    """The sweep CSV; ``mc``, if given, holds one Monte-Carlo estimate per row."""
     header = "epsilon,val_uop,val_pop,val_spop,val_pp,val_2uop,rank_pp"
-    if with_mc:
+    if mc is not None:
         header += ",mc_true_mean,mc_true_stderr"
     lines = [header]
-    for r in rows:
+    for i, r in enumerate(rows):
         vals = (r.epsilon, r.val_uop, r.val_pop, r.val_spop, r.val_pp, r.val_2uop)
         cells = [_fmt(v) for v in vals] + [str(r.rank_pp)]
-        if with_mc:
-            cells += [_fmt(r.mc_true_mean), _fmt(r.mc_true_stderr)]
+        if mc is not None:
+            cells += [_fmt(mc[i].mean), _fmt(mc[i].stderr)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _eps_grid(args) -> list:
+    """--steps points from --eps-lo to --eps-hi; --eps-lo alone for one step."""
+    if args.steps == 1:
+        return [args.eps_lo]
+    return list(np.linspace(args.eps_lo, args.eps_hi, args.steps))
 
 
 def cmd_sweep(args) -> int:
@@ -350,19 +358,27 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise InstanceFileError("--steps must be >= 1")
     # checked before any row is solved, not by dc.scaled at the row it breaks
+    # or by mc_true_cost after the sweep
     if not (0.0 <= args.eps_lo < math.inf and 0.0 <= args.eps_hi < math.inf):
         raise InvalidParameter("--eps-lo and --eps-hi must be finite and nonnegative")
-    if args.steps == 1:
-        grid = [args.eps_lo]
-    else:
-        grid = list(np.linspace(args.eps_lo, args.eps_hi, args.steps))
+    if args.mc_samples is not None:
+        evaluator.check_sampling(args.mc_samples, args.mc_seed)
+    grid = _eps_grid(args)
+    rows = programs.sweep(dc_base, ps, grid, rho)
     mc = None
     if args.mc_samples is not None:
-        mc = {"samples": args.mc_samples, "seed": args.mc_seed}
-    rows = programs.sweep(
-        dc_base, ps, grid, rho, qf=qf, C0=_base_hypothesis(hyp), prior=prior, mc=mc
-    )
-    _write_text(args.out, _csv_rows(rows, with_mc=mc is not None))
+        # the true cost of PP's projection; the solve reads the sweep's record
+        # and returns bitwise the projection the sweep solved
+        C0 = _base_hypothesis(hyp)
+        mc = [
+            evaluator.mc_true_cost(
+                qf, float(e) * C0, prior,
+                programs.solve_pp(dc_base.scaled(float(e)), rho).projection,
+                n_samples=args.mc_samples, seed=args.mc_seed,
+            )
+            for e in grid
+        ]
+    _write_text(args.out, _csv_rows(rows, mc))
     return 0
 
 
@@ -371,10 +387,7 @@ def cmd_example(args) -> int:
         raise InvalidParameter("--n and --steps must be >= 1")
     if not (math.isfinite(args.eps_lo) and math.isfinite(args.eps_hi)):
         raise InvalidParameter("--eps-lo and --eps-hi must be finite")
-    if args.steps == 1:
-        grid = [args.eps_lo]
-    else:
-        grid = list(np.linspace(args.eps_lo, args.eps_hi, args.steps))
+    grid = _eps_grid(args)
     # the scalar game is the tracking example at n = 1
     n = 1 if args.which == "oned" else args.n
     try:

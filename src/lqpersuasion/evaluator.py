@@ -89,6 +89,15 @@ class McEstimate:
     seed: int
 
 
+def check_sampling(n_samples: int, seed: int) -> None:
+    """``InvalidParameter`` unless n_samples >= 1 and the seed is a uint64
+    word of the sampler, 0 <= seed < 2^64."""
+    if not n_samples >= 1:
+        raise InvalidParameter("n_samples must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def mc_true_cost(
     qf: QuadraticForm,
     C: np.ndarray,
@@ -104,10 +113,9 @@ def mc_true_cost(
     The Bayesian part Tr(D P) + c is exact; the adversarial penalty is the
     sample mean of the exact inner maximization at v = x P a - f_vec (see
     ``_coefficient_terms``).  Deterministic for fixed (seed, n_samples)
-    regardless of ``n_workers``.
+    regardless of ``n_workers``; ``check_sampling`` bounds the arguments.
     """
-    if n_samples < 1:
-        raise InvalidParameter("n_samples must be >= 1")
+    check_sampling(n_samples, seed)
     P = sym(np.asarray(P, dtype=float))
     d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
     pa = P @ a

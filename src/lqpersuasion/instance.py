@@ -295,8 +295,8 @@ class DerivedCoefficients:
 
     ``pencil`` is the spectral record of (D, E) that every program and
     structural check solved on these coefficients reads, built on first use:
-    the BP projection, the eigenvalues and norms of D and E, the pencil
-    eigenvalues and the probes and gap tree of the searches so far.  ``scaled(s)``
+    the BP projection, the eigenvalues and norms of D and E, and the probes
+    and gap tree of the searches so far.  ``scaled(s)``
     multiplies E, f and the lambda_bars by s^2, so its oracle is
     h_s(t) = h(t/s^2): the scaled object shares its ``unit`` system's record
     and carries the cumulative factor ``scale``, and the searches on it run in

@@ -783,8 +783,6 @@ class SweepRow:
     val_pp: float
     val_2uop: float
     rank_pp: int
-    mc_true_mean: float | None = None
-    mc_true_stderr: float | None = None
 
 
 def sweep(
@@ -792,18 +790,11 @@ def sweep(
     ps: PriorStats,
     eps_grid: Sequence[float],
     rho: float,
-    qf=None,
-    C0: np.ndarray | None = None,
-    prior=None,
-    mc: dict | None = None,
 ) -> list[SweepRow]:
     """Solve UOP/POP/SPOP/PP along a homothetic hypothesis sweep C = eps*C0.
 
     ``dc_base`` must be derived at the base hypothesis C0; every eps reads
-    its oracle record through ``dc_base.scaled(eps)``.  When ``mc`` is
-    given ({"samples": int, "seed": int}), the true cost of the pessimistic
-    solution's projection is estimated by Monte Carlo, which additionally
-    requires ``qf``, ``C0`` and ``prior``.
+    its oracle record through ``dc_base.scaled(eps)``.
 
     Each reported value lies within its program's certified rho of the
     optimum and is the objective of a projection.  Cross-seeding scores
@@ -811,12 +802,6 @@ def sweep(
     as the objectives are ordered pointwise, POP <= SPOP <= PP <= PP's
     value, the reported values keep the chain POP <= SPOP <= PP exactly.
     """
-    if mc is not None:
-        # checked before the first row is solved, not by mc_true_cost after it
-        if qf is None or C0 is None or prior is None:
-            raise InvalidParameter("Monte-Carlo sweep needs qf, C0 and prior")
-        if int(mc["samples"]) < 1:
-            raise InvalidParameter("n_samples must be >= 1")
     rows: list[SweepRow] = []
     for eps in eps_grid:
         dc = dc_base.scaled(float(eps))
@@ -834,7 +819,7 @@ def sweep(
         pop_obj = _objective(dc, *_weights("POP", dc, ps.kappa, ps.beta_bar))
         val_pop = min(pop.value, pop_obj(spop_arg), pop_obj(pp.projection))
 
-        row = SweepRow(
+        rows.append(SweepRow(
             epsilon=float(eps),
             val_uop=uop.value,
             val_pop=val_pop,
@@ -842,15 +827,5 @@ def sweep(
             val_pp=val_pp,
             val_2uop=2.0 * uop.value,
             rank_pp=pp.rank,
-        )
-        if mc is not None:
-            from .evaluator import mc_true_cost  # local import avoids a cycle
-
-            est = mc_true_cost(
-                qf, float(eps) * C0, prior, pp.projection,
-                n_samples=int(mc["samples"]), seed=int(mc["seed"]),
-            )
-            row.mc_true_mean = est.mean
-            row.mc_true_stderr = est.stderr
-        rows.append(row)
+        ))
     return rows

@@ -2,7 +2,7 @@
 negative-eigenspace projections (from any eigenbasis, so a raw ``eigh``
 will do) and PSD square roots.  Each reads one decomposition of its matrix,
 whose eigenvalues also give the zero band 1e-9 * (1 + max|w|).  The trace
-oracle in ``programs`` keeps bands of its own (1e-12, 1e-13 and 1e-10).
+oracle in ``programs`` keeps bands of its own (1e-12 and 1e-13).
 """
 
 from __future__ import annotations

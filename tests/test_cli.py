@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_psd, random_sym
-from lqpersuasion import cli, instance, programs
+from lqpersuasion import cli, evaluator, instance, programs
 from lqpersuasion.demo import BENCH3_D, BENCH3_E, BENCH3_Q, bench3_form, bench3_hypothesis
 from lqpersuasion.errors import NumericalFailure, OracleDiverged
 
@@ -248,6 +248,30 @@ def test_sweep_mc_columns_and_determinism(tmp_path):
     assert header.endswith(",mc_true_mean,mc_true_stderr")
 
 
+def test_sweep_mc_cells_are_the_estimate_at_pp_projection(tmp_path):
+    # each Monte-Carlo cell is the evaluator's estimate at the projection PP
+    # solves on a fresh record of the unit system, character for character
+    inst = _bench_instance(tmp_path)
+    out = tmp_path / "mc.csv"
+    assert cli.main(["sweep", "--instance", inst, "--eps-lo", "0.2", "--eps-hi", "2.5",
+                     "--steps", "4", "--rho", "1e-4", "--mc-samples", "500",
+                     "--mc-seed", "3", "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    qf, c0 = bench3_form(), bench3_hypothesis(1.0).C
+    prior = instance.PriorSpec("gaussian", 3)
+    dc0 = instance.derive_coefficients(qf, bench3_hypothesis(1.0))
+    assert len(lines) == 4
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        eps = float(row["epsilon"])
+        est = evaluator.mc_true_cost(
+            qf, eps * c0, prior, programs.solve_pp(dc0.scaled(eps), 1e-4).projection,
+            n_samples=500, seed=3,
+        )
+        assert (row["mc_true_mean"], row["mc_true_stderr"]) == (
+            cli._fmt(est.mean), cli._fmt(est.stderr))
+
+
 @pytest.mark.parametrize("command", ["sweep", "solve"])
 def test_command_repeats_byte_identical(tmp_path, command):
     # every cache a command fills (oracle values, probes, thresholding
@@ -462,6 +486,8 @@ def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
     [
         ["--mc-samples", "0"],
         ["--mc-samples", "-5"],
+        ["--mc-samples", "10", "--mc-seed", "-1"],
+        ["--mc-samples", "10", "--mc-seed", str(2**64)],
         ["--eps-hi", "nan"],
         ["--eps-hi", "-1"],
     ],

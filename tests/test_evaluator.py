@@ -139,12 +139,14 @@ def test_mc_true_cost_reads_the_coefficient_terms(monkeypatch):
     assert eigvalsh[0] == 0
 
 
-def test_mc_true_cost_rejects_bad_sample_count():
-    with pytest.raises(InvalidParameter):
-        mc_true_cost(
-            tracking_form(2.0, 2), np.eye(2), PriorSpec("gaussian", 2),
-            np.eye(2), n_samples=0, seed=0,
-        )
+def test_mc_true_cost_rejects_bad_samples_or_seed():
+    # the sampler keys its counters by the seed as a uint64: a seed outside
+    # [0, 2^64) is a typed input error, not numpy's OverflowError
+    args = (tracking_form(2.0, 2), np.eye(2), PriorSpec("gaussian", 2), np.eye(2))
+    for n_samples, seed in ((0, 0), (10, -1), (10, 2**64)):
+        with pytest.raises(InvalidParameter):
+            mc_true_cost(*args, n_samples=n_samples, seed=seed)
+    assert mc_true_cost(*args, n_samples=10, seed=2**64 - 1).seed == 2**64 - 1
 
 
 # --------------------------------------------------------------------------

@@ -556,6 +556,23 @@ def test_extract_projection_prefers_low_rank_on_ties():
     assert s2 == pytest.approx(-2.0)
 
 
+def test_solve_pp_scores_the_zero_projection():
+    # D's eigenvalue -5e-12 on E's kernel is within the BP zero band, so BP
+    # reveals nothing; the search's best point is the origin on E's kernel, a
+    # rank-1 projection whose PP value 1.5 - 5e-12 ties with the empty
+    # projection's 1.5 within the 1e-11 band, and the tie goes to rank 0
+    dc = instance.DerivedCoefficients(
+        n=2, D=np.diag([1.0, -5e-12]), E=np.diag([1.0, 0.0]), f=1.0, c=0.0,
+        lambda_bar=0.5, lambda_bar_2=0.0,
+    )
+    assert solve_bp(dc).rank == 0
+    _, searched, _ = programs._minimize_penalized(dc, 1.0, 0.0, 1e-6)
+    assert programs._rank_projection(searched) == 1
+    sol = solve_pp(dc, 1e-6)
+    assert (sol.rank, sol.value) == (0, 1.5)
+    assert not sol.projection.any()
+
+
 def test_solve_penalized_rejects_bad_tolerance(bench_dc):
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidTolerance):
