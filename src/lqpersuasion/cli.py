@@ -367,16 +367,14 @@ def cmd_sweep(args) -> int:
     rows = programs.sweep(dc_base, ps, grid, rho)
     mc = None
     if args.mc_samples is not None:
-        # the true cost of PP's projection; the solve reads the sweep's record
-        # and returns bitwise the projection the sweep solved
+        # the true cost of the projection at which the row scores PP
         C0 = _base_hypothesis(hyp)
         mc = [
             evaluator.mc_true_cost(
-                qf, float(e) * C0, prior,
-                programs.solve_pp(dc_base.scaled(float(e)), rho).projection,
+                qf, r.epsilon * C0, prior, r.projection_pp,
                 n_samples=args.mc_samples, seed=args.mc_seed,
             )
-            for e in grid
+            for r in rows
         ]
     _write_text(args.out, _csv_rows(rows, mc))
     return 0

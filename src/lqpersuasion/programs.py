@@ -44,14 +44,23 @@ The three programs so minimize over the same h of the same (D, E): the
 programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
 one BP projection, one closed form at t = 0 and one eigensolve per
 distinct multiplier probed.  The record keeps the points each probe gave
-(their traces, values, lines and eigenvalue masks), not its eigenvectors,
-and the tree of gaps that ``h_eq`` and the searches have refined: a chord
+(their traces, values, lines and eigenvalue masks), not its eigenvectors
+(but the projections of the searches' winners, and the eigenvectors a
+sweep's pass holds for a point that may win), and the tree of gaps that ``h_eq`` and the searches have refined: a chord
 slope depends on h alone, so every program and every oracle call descends
 the same tree.  A homothetic rescaling multiplies E, f and
 lambda_bar by eps^2, so its oracle is h_eps(t) = h_1(t/eps^2):
 ``dc.scaled(eps)`` reads the record of the unit system, and its searches
 minimize h_1(s) + psi in unit coordinates s = t/eps^2, so that a whole
 sweep shares one record.
+
+A sweep searches each program once over its whole eps grid, the sandwich
+algorithm's use for a family of convex problems (Rote, Computing 48,
+1992): every point of the tree has a value at every eps and every gap a
+bound at every eps, so one pass holds them as points x eps and gaps x eps
+matrices, every eps still uncertified refines its own lowest gap, and a gap
+that several need is refined once.  A single solve runs the same search on
+one column, from a heap.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,8 +118,9 @@ class HOracleResult:
 class ProgramSolution:
     """Solution record of one program.
 
-    ``projection`` is the program's minimal-rank projective solution,
-    ``rank`` its rank, and ``rho`` the certified suboptimality of ``value``
+    ``projection`` is a rho-optimal projective solution of the program,
+    ``rank`` the rank of that projection (not certified to be the least
+    rank within rho), and ``rho`` the certified suboptimality of ``value``
     (0 for exactly solved programs).  Every program's ``Sigma`` is its
     ``projection``, the same array, and ``value`` is that projection's
     objective.
@@ -255,6 +265,11 @@ class _Pencil:
             self._split = (lam, np.linalg.eigh(self.D + lam * self.E))
         return self._split[1]
 
+    def holds(self, lam: float) -> bool:
+        """Whether ``split`` holds the eigenvectors at lam: a projection at
+        lam then costs no eigensolve."""
+        return self._split is not None and self._split[0] == lam
+
     def probe(self, lam: float) -> tuple[_Point, ...]:
         """The points of the graph of h that D + lam*E gives, ascending: the
         traces and values of its negative and, if its trace differs, its
@@ -272,7 +287,7 @@ class _Pencil:
         instead, Tr E - Tr(E (I - P)) and Tr D - Tr(D (I - P)), and the line
         from its value at the point itself.  A point holds its mask, not the
         eigenvectors (n^2 floats each): ``split`` keeps those of the latest
-        lam only."""
+        lam only (see ``_Point.hold``)."""
         pts = self.probes.get(lam)
         if pts is None:
             w, v = self.split(lam)
@@ -330,26 +345,35 @@ class _Point:
     |lam|*Tr E; see ``_Pencil.probe``).  P is given, or formed from the
     columns ``cols`` of the split at lam and, if ``keep``, kept: the searches
     read their best points' again, while ``h_eq`` keeps none, as each call
-    would leave an n^2 array in the record."""
+    would leave an n^2 array in the record.  A sweep's pass ``hold``s the
+    columns themselves (n x rank floats) while the split is at hand, for a
+    point that may yet win."""
 
-    __slots__ = ("s", "h", "lam", "c", "d", "_proj", "_cols")
+    __slots__ = ("s", "h", "lam", "c", "d", "_proj", "_cols", "_u")
 
     def __init__(self, s: float, h: float, lam: float, c: float | None = None,
                  d: float | None = None, proj: np.ndarray | None = None,
                  cols: np.ndarray | None = None):
         self.s, self.h, self.lam, self.c, self.d = s, h, lam, c, d
-        self._proj, self._cols = proj, cols
+        self._proj, self._cols, self._u = proj, cols, None
 
     def line(self, x: float) -> float:
         return self.d - self.lam * (x - self.s)
 
+    @property
+    def held(self) -> bool:
+        return self._proj is not None or self._u is not None
+
+    def hold(self, pen: _Pencil) -> None:
+        self._u = pen.split(self.lam)[1][:, self._cols]
+
     def projection(self, pen: _Pencil, keep: bool = True) -> np.ndarray:
         if self._proj is not None:
             return self._proj
-        u = pen.split(self.lam)[1][:, self._cols]
+        u = pen.split(self.lam)[1][:, self._cols] if self._u is None else self._u
         p = u @ u.T
         if keep:
-            self._proj = p
+            self._proj, self._u = p, None
         return p
 
 
@@ -456,6 +480,196 @@ def _penalty(w: float, lam_bar: float) -> Callable[[float], float]:
     return lambda q: lam_bar * beta_max_value(w * q / lam_bar)
 
 
+def _penalty_cols(w: np.ndarray, lam_bar: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``_penalty`` for the columns of the arrays (w, lam_bar), at arrays q
+    that broadcast against them: the same IEEE operations, so bitwise the
+    same values."""
+    beta = lam_bar > 1e-14 * (1.0 + abs(lam_bar))
+    lb = lam_bar[beta]
+
+    def psi(q: np.ndarray) -> np.ndarray:
+        out = w * q
+        z = out[..., beta] / lb
+        out[..., beta] = lb * np.where(z >= 2.0, z, 1.0 + z * z / 4.0)
+        return out
+
+    return psi if beta.any() else lambda q: w * q
+
+
+def _gap_terms(a: _Point, b: _Point, f: float) -> tuple[float, float, float, float, float]:
+    """The terms of the lower bound of j = h + psi on the gap [a, b] that do
+    not depend on psi: (qa, qx, qb, ta, tx), with q = sqrt(f + s) at a, at
+    the crossing x of the two ends' lines (clamped to [a, b]) and at b, and
+    ta, tx the lines' values at a and at x, so that for every psi
+
+        max(b.d + psi(qa), min(ta + psi(qa), tx + psi(qx), b.d + psi(qb)))
+
+    bounds j on [a, b] (see ``_minimize_penalized``).  The origin has no
+    line: its gap reads b's line at a, and tx is inf."""
+    if a.c is None:
+        x, ta, tx = b.s, b.c - b.lam * a.s, math.inf
+    else:
+        x = (a.c - b.c) / (a.lam - b.lam) if a.lam > b.lam else b.s
+        x = min(max(x, a.s), b.s)
+        ta, tx = a.d, a.c - a.lam * x
+    return math.sqrt(f + a.s), math.sqrt(f + x), math.sqrt(f + b.s), ta, tx
+
+
+def _at_resolution(a: _Point, b: _Point, f: float) -> bool:
+    """Whether the gap's ends differ in q = sqrt(f + s) by its rounding
+    alone: no probe can split such a gap, so it is never refined, but its
+    bound stays in the certificate."""
+    qa, qb = math.sqrt(f + a.s), math.sqrt(f + b.s)
+    return qb - qa <= 1e-13 * (1.0 + qb)
+
+
+def _tie(best):
+    """The band above the best value in which the smallest trace wins (it
+    prefers revealing less)."""
+    return 1e-12 * (1.0 + abs(best))
+
+
+def _certified(best: float, low: float, rho: float) -> float:
+    """The certified suboptimality best - low of the lowest open bound, at
+    least 0.  Above rho only a gap at floating-point resolution can leave
+    it, and the search cannot certify rho: ``NumericalFailure``."""
+    if best - low > rho:
+        raise NumericalFailure(
+            f"a gap at floating-point resolution leaves {best - low:.3e} "
+            f"uncertified, above rho={rho}"
+        )
+    return max(0.0, best - low)
+
+
+def _over_budget(rho: float) -> NumericalFailure:
+    return NumericalFailure(
+        f"penalized search exceeded its evaluation budget without certifying rho={rho}"
+    )
+
+
+def _search(pen: _Pencil, f: float, psi: Callable[[float], float], rho: float):
+    """One column's search, the lowest bound first from a heap of gaps:
+    (best point, certified rho)."""
+    def bound(a: _Point, b: _Point) -> float:
+        qa, qx, qb, ta, tx = _gap_terms(a, b, f)
+        pa = psi(qa)
+        return max(b.d + pa, min(ta + pa, tx + psi(qx), b.d + psi(qb)))
+
+    heap: list = []
+    stuck: list[float] = []
+
+    def add(a: _Point, b: _Point) -> None:
+        if _at_resolution(a, b, f):
+            stuck.append(bound(a, b))
+        else:
+            heapq.heappush(heap, (bound(a, b), a.s, a, b))
+
+    pts = pen.ends
+    vals = {p: p.h + psi(math.sqrt(f + p.s)) for p in pts}
+    best = min(vals.values())
+    for a, b in zip(pts[:-1], pts[1:]):
+        add(a, b)
+
+    margin = rho * (1.0 - 1e-9)
+    while heap and heap[0][0] < best - margin:
+        if len(vals) > _MAX_EVALS:
+            raise _over_budget(rho)
+        _, _, a, b = heapq.heappop(heap)
+        kids = pen.refine(a, b)
+        for p in kids:
+            vals[p] = p.h + psi(math.sqrt(f + p.s))
+            best = min(best, vals[p])
+        chain = (a, *kids, b) if kids else ()
+        for x, y in zip(chain[:-1], chain[1:]):
+            add(x, y)
+
+    certified = _certified(best, min(stuck + [e[0] for e in heap[:1]], default=best), rho)
+    tie = _tie(best)
+    return min((p for p, v in vals.items() if v <= best + tie), key=lambda p: p.s), certified
+
+
+def _pass(pen: _Pencil, f: float, w: np.ndarray, lam_bar: np.ndarray, rho: float):
+    """The searches of the columns (w, lam_bar), each that of ``_search``
+    at psi = ``_penalty(w, lam_bar)``, in one pass over one list of gaps:
+    [(best point, certified rho)], one per column.
+
+    Every point has a value per column and every gap a bound per column,
+    from the terms of ``_gap_terms``, computed once per gap.  Each round,
+    every column not yet certified picks its own lowest gap, ties going to
+    the smaller trace, as its own best-first search would, and each gap
+    picked is refined once.  The best value of a column only falls, so a
+    point found outside every column's tie band never enters one and cannot
+    win; a point found inside one holds its eigenvectors while the probe's
+    split is at hand (``_Point.hold``), for its projection to cost no
+    eigensolve if it wins here or in a later search."""
+    m = len(w)
+    cols = np.arange(m)
+    psi = _penalty_cols(w, lam_bar)
+
+    def values(new) -> np.ndarray:
+        return np.array([[p.h] for p in new]) + psi(np.array([[math.sqrt(f + p.s)] for p in new]))
+
+    gaps: list[tuple[_Point, _Point]] = []
+    rows = stuck = np.empty((0, m))
+
+    def add(new) -> None:
+        """Adds the bounds of the new gaps, those at floating-point
+        resolution to ``stuck``, and sorts the gaps by trace."""
+        nonlocal gaps, rows, stuck
+        t = np.array([_gap_terms(a, b, f) for a, b in new])
+        db = np.array([[b.d] for _, b in new])
+        pa, px, pb = psi(t[:, :3, None]).transpose(1, 0, 2)
+        new_rows = np.maximum(db + pa, np.minimum(
+            np.minimum(t[:, 3:4] + pa, t[:, 4:5] + px), db + pb))
+        res = np.array([_at_resolution(a, b, f) for a, b in new])
+        if res.any():
+            stuck = np.vstack([stuck, new_rows[res]])
+        gaps += [g for g, r in zip(new, res) if not r]
+        order = sorted(range(len(gaps)), key=lambda i: gaps[i][0].s)
+        gaps = [gaps[i] for i in order]
+        rows = np.vstack([rows, new_rows[~res]])[order]
+
+    pts = list(pen.ends)
+    vals = [values(pts)]
+    best = vals[0].min(axis=0)
+    if len(pts) > 1:
+        add(list(zip(pts[:-1], pts[1:])))
+
+    margin = rho * (1.0 - 1e-9)
+    while gaps:
+        low = rows.argmin(axis=0)  # the first of equal bounds: the smaller trace
+        need = rows[low, cols] < best - margin
+        if not need.any():
+            break
+        if len(pts) > _MAX_EVALS:
+            raise _over_budget(rho)
+        picked = set(low[need].tolist())
+        new = []
+        for a, b in (gaps[i] for i in sorted(picked)):
+            kids = pen.refine(a, b)  # none where h is linear: the gap closes
+            if kids:
+                j = values(kids)
+                pts.extend(kids)
+                vals.append(j)
+                best = np.minimum(best, j.min(axis=0))
+                near = (j <= best + _tie(best)).any(axis=1)
+                for p, x in zip(kids, near.tolist()):
+                    if x and not p.held and pen.holds(p.lam):
+                        p.hold(pen)
+                chain = (a, *kids, b)
+                new += zip(chain[:-1], chain[1:])
+        keep = [i for i in range(len(gaps)) if i not in picked]
+        gaps, rows = [gaps[i] for i in keep], rows[keep]
+        if new:
+            add(new)
+
+    low = np.vstack([rows, stuck]).min(axis=0, initial=math.inf)
+    certified = [_certified(x, y, rho) for x, y in zip(best.tolist(), low.tolist())]
+    by_trace = sorted(range(len(pts)), key=lambda i: pts[i].s)
+    first = np.argmax((np.vstack(vals) <= best + _tie(best))[by_trace], axis=0)
+    return [(pts[by_trace[i]], c) for i, c in zip(first.tolist(), certified)]
+
+
 def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, rho: float):
     """Certified minimization of h(t) + psi(t) over [0, t_bar], where psi is
     ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
@@ -476,75 +690,46 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     h >= l_b on [x, b], and each line plus psi is concave.  The origin has
     no line, so its gap uses b's alone.  The lowest gap is refined until
     every gap's bound is within ``rho`` of the best point; a gap on which h
-    is linear closes, as j is concave there.
+    is linear closes, as j is concave there.  A gap whose ends differ by the
+    rounding of q is never refined, but its bound stays in the certificate
+    (``NumericalFailure`` if that leaves more than rho).  Of the points
+    within 1e-12*(1 + |best|) of the best value, the smallest trace wins.
 
     The search runs on ``dc.pencil``, the record of the unit system that
     ``dc`` rescales by e = ``dc.scale``: with s = t/e^2, sqrt(f + t) is
     e*sqrt(f1 + s), so it minimizes h1(s) + psi at q = sqrt(f1 + s) with
     weight alpha*e, and every program at every scale descends one tree.
     ``lam_bar`` is in dc's units.
+
+    ``dc`` may also be a sequence of rescalings of one unit system, the
+    columns of a sweep, with ``lam_bar`` one per column: the result is then
+    a list of one such triple per column.  One column is searched best first
+    from a heap (``_search``), several in one pass (``_pass``), whose
+    column picks the gap that the heap would pop.
     """
     if not rho > 0.0:
         raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    pen, e = dc.pencil, dc.scale
-    e2 = e * e
-    if e2 * pen.trE <= 1e-13 * (1.0 + e2 * pen.normE):
-        # E vanishes at this scale: the constraint is vacuous and the optimum
-        # is the BP projection at t = 0
-        return 0.0, pen.bp, 0.0
-
-    psi = _penalty(alpha * e, lam_bar)
-    f = max(float(dc.unit.f), 0.0)
-    psis: dict[float, float] = {}
-
-    def psi_at(s: float) -> float:
-        v = psis.get(s)
-        if v is None:
-            v = psis[s] = psi(math.sqrt(f + s))
-        return v
-
-    def bound(a: _Point, b: _Point) -> float:
-        pa, pb = psi_at(a.s), psi_at(b.s)
-        lb = b.d + pa
-        if a.c is None:
-            return max(lb, min(b.c - b.lam * a.s + pa, b.d + pb))
-        x = (a.c - b.c) / (a.lam - b.lam) if a.lam > b.lam else b.s
-        x = min(max(x, a.s), b.s)
-        return max(lb, min(a.d + pa, a.c - a.lam * x + psi(math.sqrt(f + x)), b.d + pb))
-
-    pts = pen.ends
-    vals = {p: p.h + psi_at(p.s) for p in pts}
-    best_val = min(vals.values())
-    heap = [(bound(a, b), a.s, a, b) for a, b in zip(pts[:-1], pts[1:])]
-
-    margin = rho * (1.0 - 1e-9)
-    while heap and heap[0][0] < best_val - margin:
-        if len(vals) > _MAX_EVALS:
-            raise NumericalFailure(
-                "penalized search exceeded its evaluation budget without "
-                f"certifying rho={rho}"
-            )
-        _, _, a, b = heapq.heappop(heap)
-        qa, qb = math.sqrt(f + a.s), math.sqrt(f + b.s)
-        if qb - qa <= 1e-13 * (1.0 + qb):
-            continue  # gap at floating-point resolution; its bound stands
-        kids = pen.refine(a, b)
-        for p in kids:
-            vals[p] = p.h + psi_at(p.s)
-            best_val = min(best_val, vals[p])
-        if kids:
-            chain = (a, *kids, b)
-            for x, y in zip(chain[:-1], chain[1:]):
-                heapq.heappush(heap, (bound(x, y), x.s, x, y))
-
-    certified = best_val - heap[0][0] if heap else 0.0
-    certified = max(0.0, min(certified, rho))
-    # tie-break toward the smallest trace (prefers revealing less)
-    tie = 1e-12 * (1.0 + abs(best_val))
-    p_best = min((p for p, v in vals.items() if v <= best_val + tie), key=lambda p: p.s)
-    return e2 * p_best.s, p_best.projection(pen), certified
+    one = isinstance(dc, DerivedCoefficients)
+    dcs, lam_bars = ([dc], [lam_bar]) if one else (list(dc), list(lam_bar))
+    pen = dcs[0].pencil
+    f = max(float(dcs[0].unit.f), 0.0)
+    # where E vanishes at a column's scale, the constraint is vacuous and the
+    # optimum is the BP projection at t = 0
+    out = [(0.0, pen.bp, 0.0)] * len(dcs)
+    live = [k for k, d in enumerate(dcs)
+            if d.scale * d.scale * pen.trE > 1e-13 * (1.0 + d.scale * d.scale * pen.normE)]
+    w = [alpha * dcs[k].scale for k in live]
+    lb = [lam_bars[k] for k in live]
+    if len(live) == 1:
+        found = [_search(pen, f, _penalty(w[0], lb[0]), rho)]
+    else:
+        found = _pass(pen, f, np.array(w), np.array(lb), rho) if live else []
+    for k, (p, certified) in zip(live, found):
+        e2 = dcs[k].scale * dcs[k].scale
+        out[k] = (e2 * p.s, p.projection(pen), certified)
+    return out[0] if one else out
 
 
 # --------------------------------------------------------------------------
@@ -562,12 +747,19 @@ def extract_projection(
     relative to the best score go to the lower rank.  The program objectives
     are concave in Sigma, so the best of the projections that an X
     interpolates scores no worse than X itself.
+
+    An objective may also score a candidate in several columns at once, as
+    a sweep scores a projection at every scale that found it, and return an
+    array: each column then chooses by the same rule, and the result is the
+    list of the candidates chosen and the array of their values.
     """
     ranked = sorted(candidates, key=_rank_projection)
-    scores = [objective(p) for p in ranked]
-    best = min(scores)
-    tie = 1e-11 * (1.0 + abs(best))
-    return next((p, s) for p, s in zip(ranked, scores) if s <= best + tie)
+    scores = np.array([objective(p) for p in ranked])
+    best = scores.min(axis=0)
+    pick = np.argmax(scores <= best + 1e-11 * (1.0 + abs(best)), axis=0)
+    if scores.ndim == 1:
+        return ranked[pick], float(scores[pick])
+    return [ranked[i] for i in pick.tolist()], scores[pick, np.arange(scores.shape[1])]
 
 
 # --------------------------------------------------------------------------
@@ -776,6 +968,9 @@ def pessimistic_noinfo_threshold(dc: DerivedCoefficients) -> float:
 
 @dataclass
 class SweepRow:
+    """One scale of a sweep.  ``projection_pp`` is the projection at which
+    ``val_pp`` scores PP, of rank ``rank_pp``."""
+
     epsilon: float
     val_uop: float
     val_pop: float
@@ -783,6 +978,16 @@ class SweepRow:
     val_pp: float
     val_2uop: float
     rank_pp: int
+    projection_pp: np.ndarray = field(repr=False, compare=False)
+
+
+def _by_identity(arrays: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(array, the indices that hold it) for each distinct array object, in
+    order of first appearance."""
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for j, a in enumerate(arrays):
+        groups.setdefault(id(a), (a, []))[1].append(j)
+    return [(a, np.array(idx)) for a, idx in groups.values()]
 
 
 def sweep(
@@ -794,38 +999,93 @@ def sweep(
     """Solve UOP/POP/SPOP/PP along a homothetic hypothesis sweep C = eps*C0.
 
     ``dc_base`` must be derived at the base hypothesis C0; every eps reads
-    its oracle record through ``dc_base.scaled(eps)``.
+    its oracle record through ``dc_base.scaled(eps)``.  Each of PP, SPOP and
+    POP is one certified pass over the whole grid (``_minimize_penalized``
+    on the sequence of scales): every eps is a column of the pass, and a
+    gap that several columns need is refined once.  A column also sees the
+    points that the other columns' refinements add, so a row may be up to
+    rho better than a standalone solve at the same eps; a one-step sweep is
+    that solve.
 
     Each reported value lies within its program's certified rho of the
-    optimum and is the objective of a projection.  Cross-seeding scores
-    SPOP at PP's projection and POP at the better of SPOP's and PP's, and
-    as the objectives are ordered pointwise, POP <= SPOP <= PP <= PP's
-    value, the reported values keep the chain POP <= SPOP <= PP exactly.
+    optimum and is the objective of a projection, bitwise as
+    ``_objective`` scores it.  Each distinct projection is scored once, in
+    all the columns that read it, against 0 (``extract_projection``) and
+    for the cross-seeding, which scores SPOP at PP's projection and POP at
+    the better of SPOP's and PP's: as the objectives are ordered pointwise,
+    POP <= SPOP <= PP <= PP's value, the reported values keep the chain
+    POP <= SPOP <= PP exactly.
     """
+    dcs = [dc_base.scaled(float(eps)) for eps in eps_grid]
+    m = len(dcs)
+    if not m:
+        return []
+    zero = np.zeros_like(dc_base.D)
+    f = np.array([dc.f for dc in dcs])
+    # per projection, Tr(D P) and Tr(E P) at each scale, once computed
+    traces: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+
+    def objective(weights: np.ndarray, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``_objective(dc, *weights)(p)`` in the columns idx, bitwise."""
+        if id(p) not in traces:
+            traces[id(p)] = float(np.sum(dc_base.D * p)), np.empty(m), np.zeros(m, dtype=bool)
+        t_d, t_e, done = traces[id(p)]
+        todo = idx[~done[idx]]
+        # in blocks of about 2^20 floats, not one stack of every scale's E
+        step = max(1, 2**20 // p.size)
+        for k in range(0, len(todo), step):
+            block = todo[k:k + step]
+            t_e[block] = np.sum(np.stack([dcs[j].E for j in block]) * p, axis=(1, 2))
+        done[todo] = True
+        alpha, offset, lam_bar = weights[:, idx]
+        return t_d + offset + _penalty_cols(alpha, lam_bar)(np.sqrt(np.maximum(f[idx] + t_e[idx], 0.0)))
+
+    def score(weights: np.ndarray, projs: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(m)
+        for p, idx in _by_identity(projs):
+            out[idx] = objective(weights, p, idx)
+        return out
+
+    def extract(weights: np.ndarray, found: list):
+        chosen: list[np.ndarray] = [zero] * m
+        value = np.empty(m)
+        for p, idx in _by_identity([proj for _, proj, _ in found]):
+            picks, value[idx] = extract_projection(
+                [zero, p], lambda q, idx=idx: objective(weights, q, idx))
+            for j, q in zip(idx.tolist(), picks):
+                chosen[j] = q
+        return chosen, value
+
+    def solve(name: str):
+        """One pass over the grid for the program ``name``."""
+        weights = np.array([_weights(name, dc, ps.kappa, ps.beta_bar) for dc in dcs]).T
+        found = _minimize_penalized(dcs, float(weights[0, 0]), weights[2].tolist(), rho)
+        return (weights, *extract(weights, found))
+
+    _, pp, val_pp = solve("PP")
+    w_spop, spop, val_spop = solve("SPOP")
+    w_pop, pop, val_pop = solve("POP")
+
+    # cross-seeding: evaluating each objective at the neighbors' argmins can
+    # only lower the reported values, and enforces the chain
+    spop_at_pp = score(w_spop, pp)
+    spop_arg = [s if a <= b else q for s, q, a, b in zip(spop, pp, val_spop, spop_at_pp)]
+    val_spop = np.minimum(val_spop, spop_at_pp)
+    val_pop = np.minimum(np.minimum(val_pop, score(w_pop, spop_arg)), score(w_pop, pp))
+
+    bp = dc_base.pencil.bp_result.value
+    rank = {id(p): _rank_projection(p) for p, _ in _by_identity(pp)}
     rows: list[SweepRow] = []
-    for eps in eps_grid:
-        dc = dc_base.scaled(float(eps))
-        uop = solve_uop(dc)
-        pp = solve_pp(dc, rho)
-        spop = solve_spop(dc, ps, rho)
-        pop = solve_pop(dc, ps, rho)
-
-        # cross-seeding: evaluating each objective at the neighbors' argmins
-        # can only lower the reported values, and enforces the chain
-        val_pp = pp.value
-        spop_at_pp = spop_objective(dc, ps.kappa, pp.projection)
-        val_spop = min(spop.value, spop_at_pp)
-        spop_arg = spop.projection if spop.value <= spop_at_pp else pp.projection
-        pop_obj = _objective(dc, *_weights("POP", dc, ps.kappa, ps.beta_bar))
-        val_pop = min(pop.value, pop_obj(spop_arg), pop_obj(pp.projection))
-
+    for j, (eps, dc) in enumerate(zip(eps_grid, dcs)):
+        uop = bp + dc.c + dc.lambda_bar  # solve_uop(dc).value
         rows.append(SweepRow(
             epsilon=float(eps),
-            val_uop=uop.value,
-            val_pop=val_pop,
-            val_spop=val_spop,
-            val_pp=val_pp,
-            val_2uop=2.0 * uop.value,
-            rank_pp=pp.rank,
+            val_uop=uop,
+            val_pop=float(val_pop[j]),
+            val_spop=float(val_spop[j]),
+            val_pp=float(val_pp[j]),
+            val_2uop=2.0 * uop,
+            rank_pp=rank[id(pp[j])],
+            projection_pp=pp[j],
         ))
     return rows

@@ -249,27 +249,35 @@ def test_sweep_mc_columns_and_determinism(tmp_path):
 
 
 def test_sweep_mc_cells_are_the_estimate_at_pp_projection(tmp_path):
-    # each Monte-Carlo cell is the evaluator's estimate at the projection PP
-    # solves on a fresh record of the unit system, character for character
+    # each Monte-Carlo cell is the evaluator's estimate at the projection at
+    # which the sweep's row scores PP, character for character.  On this
+    # grid the pass finds, at two scales, a projection other than the one a
+    # standalone solve returns (the other columns' refinements add points),
+    # so the cells must read the sweep's own projection
     inst = _bench_instance(tmp_path)
     out = tmp_path / "mc.csv"
-    assert cli.main(["sweep", "--instance", inst, "--eps-lo", "0.2", "--eps-hi", "2.5",
-                     "--steps", "4", "--rho", "1e-4", "--mc-samples", "500",
+    assert cli.main(["sweep", "--instance", inst, "--eps-lo", "1.4", "--eps-hi", "1.5",
+                     "--steps", "8", "--rho", "1e-4", "--mc-samples", "500",
                      "--mc-seed", "3", "--out", str(out)]) == 0
     header, *lines = out.read_text().splitlines()
     qf, c0 = bench3_form(), bench3_hypothesis(1.0).C
     prior = instance.PriorSpec("gaussian", 3)
     dc0 = instance.derive_coefficients(qf, bench3_hypothesis(1.0))
-    assert len(lines) == 4
-    for line in lines:
+    rows = programs.sweep(dc0, instance.prior_stats(prior), np.linspace(1.4, 1.5, 8), 1e-4)
+    assert len(lines) == len(rows) == 8
+    differs = 0
+    for line, r in zip(lines, rows):
         row = dict(zip(header.split(","), line.split(",")))
-        eps = float(row["epsilon"])
+        assert float(row["epsilon"]) == r.epsilon
         est = evaluator.mc_true_cost(
-            qf, eps * c0, prior, programs.solve_pp(dc0.scaled(eps), 1e-4).projection,
-            n_samples=500, seed=3,
+            qf, r.epsilon * c0, prior, r.projection_pp, n_samples=500, seed=3,
         )
         assert (row["mc_true_mean"], row["mc_true_stderr"]) == (
             cli._fmt(est.mean), cli._fmt(est.stderr))
+        fresh = instance.derive_coefficients(qf, bench3_hypothesis(1.0)).scaled(r.epsilon)
+        differs += not np.array_equal(programs.solve_pp(fresh, 1e-4).projection,
+                                      r.projection_pp)
+    assert differs >= 1
 
 
 @pytest.mark.parametrize("command", ["sweep", "solve"])
@@ -598,3 +606,20 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(solved.read_text())["results"]) == 5
     assert (tmp_path / "opening_radius.csv").is_file()
+
+
+def test_sweep_imports_no_lazy_modules(tmp_path):
+    # numpy.ma (which np.unique imports on its first call) and scipy load in
+    # tens of milliseconds: a bench3 sweep in a fresh interpreter loads
+    # neither
+    inst = _bench_instance(tmp_path)
+    code = (
+        "import sys\n"
+        "from lqpersuasion import cli\n"
+        f"assert cli.main(['sweep', '--instance', {inst!r}, '--steps', '200', '--rho', '1e-4',\n"
+        f"                 '--out', {str(tmp_path / 'sweep.csv')!r}]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'scipy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -28,7 +28,7 @@ from lqpersuasion import (
 )
 from lqpersuasion import instance, programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
-from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance, NotPSD
+from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance, NotPSD, NumericalFailure
 
 
 @pytest.fixture(scope="module")
@@ -877,12 +877,14 @@ def test_sweep_shares_one_unit_record(monkeypatch, gauss3):
 
 
 def test_sweep_eigensolve_count(monkeypatch, gauss3):
-    # the 200-point bench3 sweep: one pencil record, one split per oracle
-    # result and per probe; 1355 eigh calls when every solve decomposed its X
+    # the 200-point bench3 sweep: one pencil record, one split per probe,
+    # and a possible winner's eigenvectors held while its probe's split is
+    # at hand; 1355 eigh calls when every solve decomposed its X, 41 when
+    # each eps ran its own searches
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
     sweep(base, gauss3, np.linspace(0.0, 2.5, 200), rho=1e-4)
-    assert eigh[0] < 1000
+    assert eigh[0] <= 41
 
 
 def test_sweep_decomposes_d_once(monkeypatch, gauss3):
@@ -900,6 +902,94 @@ def test_sweep_decomposes_d_once(monkeypatch, gauss3):
     base = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
     sweep(base, gauss3, np.linspace(0.0, 2.5, 20), rho=1e-4)
     assert calls[0] == 1
+
+
+def _sweep_case(case):
+    """(unit coefficient system, prior stats) of bench3, or of a seeded n = 10
+    game with l != 0, whose SPOP runs its penalized search."""
+    if case == "bench3":
+        qf, n = bench3_form(), 3
+    else:
+        qf, n = random_reduced_game(np.random.default_rng(61), 10), 10
+        assert np.any(qf.l != 0.0)
+    return derive_coefficients(qf, hypothesis_wasserstein(1.0, n)), prior_stats(PriorSpec("gaussian", n))
+
+
+@pytest.mark.parametrize("case", ["bench3", "n10"])
+def test_sweep_rows_within_rho_of_tight_solves(case):
+    # every column of the pass is certified: each row lies within rho of
+    # solves at a far tighter rho, with PP's rank, and each value is the
+    # objective of a projection, PP's bitwise at the row's own projection
+    base, ps = _sweep_case(case)
+    rho = 1e-4
+    rows = sweep(base, ps, np.linspace(0.0, 2.5, 50), rho)
+    tight_base, _ = _sweep_case(case)
+    for r in rows:
+        dc = base.scaled(r.epsilon)
+        tight = tight_base.scaled(r.epsilon)
+        pp = solve_pp(tight, 1e-9)
+        assert r.rank_pp == pp.rank == programs._rank_projection(r.projection_pp), r.epsilon
+        for got, want in ((r.val_pp, pp), (r.val_spop, solve_spop(tight, ps, 1e-9)),
+                          (r.val_pop, solve_pop(tight, ps, 1e-9))):
+            assert abs(got - want.value) <= rho, (r.epsilon, want.program)
+        assert r.val_pp == programs._objective(dc, *programs._weights("PP", dc))(r.projection_pp)
+        # the cross-seeding scored SPOP and POP at PP's projection too
+        assert r.val_spop <= spop_objective(dc, ps.kappa, r.projection_pp)
+        pop_weights = programs._weights("POP", dc, ps.kappa, ps.beta_bar)
+        assert r.val_pop <= programs._objective(dc, *pop_weights)(r.projection_pp)
+
+
+@pytest.mark.parametrize("case", ["bench3", "n10"])
+def test_one_column_pass_is_the_heap_search(case):
+    # the pass refines each column's lowest gap first, ties to the smaller
+    # trace, as the heap does: on one column it finds the same point with
+    # the same certificate, for PP's and SPOP's penalties
+    base, ps = _sweep_case(case)
+    pen, f = base.pencil, max(float(base.f), 0.0)
+    for eps in (0.3, 1.2, 1.6, 2.5):
+        dc = base.scaled(eps)
+        for alpha, _, lam_bar in (programs._weights("PP", dc),
+                                  programs._weights("SPOP", dc, ps.kappa)):
+            for rho in (1e-4, 1e-8):
+                w = alpha * eps
+                want = programs._search(pen, f, programs._penalty(w, lam_bar), rho)
+                got = programs._pass(pen, f, np.array([w]), np.array([lam_bar]), rho)
+                assert got == [want], (eps, lam_bar, rho)
+
+
+def test_penalty_columns_match_the_scalar_penalty():
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.0, 3.0, size=40)
+    lam_bar = np.where(rng.random(40) < 0.3, 0.0, rng.uniform(1e-3, 5.0, size=40))
+    q = rng.uniform(0.0, 10.0, size=(7, 1))
+    got = programs._penalty_cols(w, lam_bar)(q)
+    want = [[programs._penalty(a, b)(x) for a, b in zip(w, lam_bar)] for x in q[:, 0]]
+    assert got.tolist() == want
+
+
+class _StubPencil:
+    """A record of two points 1e-14 apart in s, too close for a probe."""
+
+    def __init__(self):
+        self.ends = (programs._Point(0.0, 0.0, 0.0),
+                     programs._Point(1e-14, -1.0, 0.0, -1.0, -1.0))
+
+    def refine(self, a, b):
+        raise AssertionError("a gap at floating-point resolution was refined")
+
+
+def test_gap_at_resolution_keeps_its_bound():
+    # with f = 1 the two ends' q differ by about one rounding, so the gap is
+    # never refined; its bound leaves psi(qb) - psi(qa), about 5.5e-5 at
+    # weight 1e10, uncertified: within a rho above that, beyond one below it
+    pen, w = _StubPencil(), 1e10
+    gap = (w * math.sqrt(1.0 + 1e-14) - 1.0) - (w * 1.0 - 1.0)
+    assert 1e-5 < gap < 1e-4
+    for run in (lambda rho: programs._search(pen, 1.0, programs._penalty(w, 0.0), rho)[1],
+                lambda rho: programs._pass(pen, 1.0, np.array([w, w]), np.zeros(2), rho)[0][1]):
+        assert run(1e-4) == gap
+        with pytest.raises(NumericalFailure):
+            run(1e-5)
 
 
 @pytest.mark.parametrize("case", ["bench3", "n10"])
