@@ -515,11 +515,10 @@ def _gap_terms(a: _Point, b: _Point, f: float) -> tuple[float, float, float, flo
     return math.sqrt(f + a.s), math.sqrt(f + x), math.sqrt(f + b.s), ta, tx
 
 
-def _at_resolution(a: _Point, b: _Point, f: float) -> bool:
-    """Whether the gap's ends differ in q = sqrt(f + s) by its rounding
-    alone: no probe can split such a gap, so it is never refined, but its
-    bound stays in the certificate."""
-    qa, qb = math.sqrt(f + a.s), math.sqrt(f + b.s)
+def _at_resolution(qa, qb):
+    """Whether a gap's ends differ in q = sqrt(f + s) by its rounding alone:
+    no probe can split such a gap, so it is never refined, but its bound
+    stays in the certificate."""
     return qb - qa <= 1e-13 * (1.0 + qb)
 
 
@@ -550,19 +549,17 @@ def _over_budget(rho: float) -> NumericalFailure:
 def _search(pen: _Pencil, f: float, psi: Callable[[float], float], rho: float):
     """One column's search, the lowest bound first from a heap of gaps:
     (best point, certified rho)."""
-    def bound(a: _Point, b: _Point) -> float:
-        qa, qx, qb, ta, tx = _gap_terms(a, b, f)
-        pa = psi(qa)
-        return max(b.d + pa, min(ta + pa, tx + psi(qx), b.d + psi(qb)))
-
     heap: list = []
     stuck: list[float] = []
 
     def add(a: _Point, b: _Point) -> None:
-        if _at_resolution(a, b, f):
-            stuck.append(bound(a, b))
+        qa, qx, qb, ta, tx = _gap_terms(a, b, f)
+        pa = psi(qa)
+        bound = max(b.d + pa, min(ta + pa, tx + psi(qx), b.d + psi(qb)))
+        if _at_resolution(qa, qb):
+            stuck.append(bound)
         else:
-            heapq.heappush(heap, (bound(a, b), a.s, a, b))
+            heapq.heappush(heap, (bound, a.s, a, b))
 
     pts = pen.ends
     vals = {p: p.h + psi(math.sqrt(f + p.s)) for p in pts}
@@ -621,7 +618,7 @@ def _pass(pen: _Pencil, f: float, w: np.ndarray, lam_bar: np.ndarray, rho: float
         pa, px, pb = psi(t[:, :3, None]).transpose(1, 0, 2)
         new_rows = np.maximum(db + pa, np.minimum(
             np.minimum(t[:, 3:4] + pa, t[:, 4:5] + px), db + pb))
-        res = np.array([_at_resolution(a, b, f) for a, b in new])
+        res = _at_resolution(t[:, 0], t[:, 2])
         if res.any():
             stuck = np.vstack([stuck, new_rows[res]])
         gaps += [g for g, r in zip(new, res) if not r]
@@ -1046,7 +1043,11 @@ def sweep(
             out[idx] = objective(weights, p, idx)
         return out
 
-    def extract(weights: np.ndarray, found: list):
+    def solve(name: str):
+        """One pass over the grid for the program ``name``, each winner
+        scored against 0 in the columns that found it."""
+        weights = np.array([_weights(name, dc, ps.kappa, ps.beta_bar) for dc in dcs]).T
+        found = _minimize_penalized(dcs, float(weights[0, 0]), weights[2].tolist(), rho)
         chosen: list[np.ndarray] = [zero] * m
         value = np.empty(m)
         for p, idx in _by_identity([proj for _, proj, _ in found]):
@@ -1054,13 +1055,7 @@ def sweep(
                 [zero, p], lambda q, idx=idx: objective(weights, q, idx))
             for j, q in zip(idx.tolist(), picks):
                 chosen[j] = q
-        return chosen, value
-
-    def solve(name: str):
-        """One pass over the grid for the program ``name``."""
-        weights = np.array([_weights(name, dc, ps.kappa, ps.beta_bar) for dc in dcs]).T
-        found = _minimize_penalized(dcs, float(weights[0, 0]), weights[2].tolist(), rho)
-        return (weights, *extract(weights, found))
+        return weights, chosen, value
 
     _, pp, val_pp = solve("PP")
     w_spop, spop, val_spop = solve("SPOP")
