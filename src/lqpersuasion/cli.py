@@ -36,66 +36,56 @@ def _fmt(x: float) -> str:
 def _dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text; a 2-D array is written a row per line.
 
-    An array that obj holds more than once is formatted once, and its text
-    is dropped at its last use: in a ``solve --program all`` record, BP and
-    UOP share one Sigma and projection.
+    The pieces of the text go to one list, joined once.  An array of two or
+    more dimensions is formatted once per indent: the memo keeps it, so that
+    no other object takes its id, next to its text (a ``solve --program
+    all`` record writes each projection twice, and BP's and UOP's are one).
     """
-    uses: dict[int, int] = {}
-    _count_arrays(obj, uses)
-    return _dump(obj, indent, uses, {})
+    out: list[str] = []
+    _dump(obj, indent, out, {})
+    return "".join(out)
 
 
-def _count_arrays(obj, uses: dict[int, int]) -> None:
-    """Add to ``uses[id(a)]`` each reference to an array a that the dicts,
-    lists and tuples of obj hold."""
-    if isinstance(obj, np.ndarray):
-        uses[id(obj)] = uses.get(id(obj), 0) + 1
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _count_arrays(v, uses)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _count_arrays(v, uses)
-
-
-def _dump(obj, indent: int, uses: dict[int, int], texts: dict[int, tuple[int, str]]) -> str:
-    """``_dump_json`` of obj.  ``uses`` counts the references to each array
-    not yet written and ``texts`` keeps (indent, text) of each array written
-    that is still to be written again.  Every counted array is held by the
-    object being written, so no other object takes its id meanwhile."""
+def _dump(obj, indent: int, out: list[str], memo: dict) -> None:
+    """Append the pieces of ``_dump_json(obj, indent)`` to ``out``."""
     pad = "  " * indent
     if isinstance(obj, np.ndarray) and obj.ndim == 1:
         vals = obj.astype(float).tolist()
         if np.all(np.isfinite(obj)):  # one %-format for the whole row
-            return "[" + ", ".join(["%.17g"] * len(vals)) % tuple(vals) + "]"
-        return "[" + ", ".join(_dump(v, 0, uses, texts) for v in vals) + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(k)}: {_dump(v, indent + 1, uses, texts)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray):
-        key = id(obj)
-        hit = texts.pop(key, None)
-        if hit is not None and hit[0] == indent:
-            text = hit[1]
+            out.append("[" + ", ".join(["%.17g"] * len(vals)) % tuple(vals) + "]")
         else:
-            text = _dump(list(obj), indent, uses, texts)
-        uses[key] = uses.get(key, 0) - 1  # an array no container holds counts 0
-        if uses[key] > 0:
-            texts[key] = (indent, text)
-        return text
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_dump(v, 0, uses, texts) for v in obj) + "]"
-        items = [f"{pad}  {_dump(v, indent + 1, uses, texts)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+            out.append("[" + ", ".join(map(_scalar, vals)) + "]")
+    elif isinstance(obj, np.ndarray):
+        key = (id(obj), indent)
+        if key not in memo:
+            start = len(out)
+            _dump(list(obj), indent, out, memo)
+            memo[key] = obj, "".join(out[start:])
+            del out[start:]
+        out.append(memo[key][1])
+    elif isinstance(obj, dict) and obj:
+        sep = "{\n"
+        for k, v in obj.items():
+            out.append(f"{sep}{pad}  {json.dumps(k)}: ")
+            _dump(v, indent + 1, out, memo)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and any(
+            isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
+        sep = "[\n"
+        for v in obj:
+            out.append(f"{sep}{pad}  ")
+            _dump(v, indent + 1, out, memo)
+            sep = ",\n"
+        out.append(f"\n{pad}]")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[" + ", ".join(map(_scalar, obj)) + "]")
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(obj) -> str:
+    """JSON text of a scalar or an empty dict."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -300,7 +290,8 @@ def cmd_solve(args) -> int:
                 "value": sol.value,
                 "rank": sol.rank,
                 "rho": sol.rho,
-                "Sigma": sol.Sigma,
+                # every program's optimum is projective: Sigma = P
+                "Sigma": sol.projection,
                 "projection": sol.projection,
             }
         )

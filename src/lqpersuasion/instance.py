@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -304,7 +304,9 @@ class DerivedCoefficients:
     the record and scaled, scale^2 * pencil.t_bar.  The CLI derives every
     instance once, at its unit hypothesis C0, and solves C = eps*C0 on
     ``scaled(eps)``.  ``replace`` returns a new unit system with its own
-    record.
+    record.  Construction refuses a non-finite D or E (``InvalidMatrix``) and
+    a non-finite f, c or lambda_bar (``InvalidParameter``), as a hypothesis
+    scale too large for floating point makes them.
     """
 
     n: int
@@ -320,6 +322,12 @@ class DerivedCoefficients:
     _unit: "DerivedCoefficients | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if not (np.isfinite(self.D).all() and np.isfinite(self.E).all()):
+            raise InvalidMatrix("coefficient matrices D and E must be finite")
+        if not all(map(math.isfinite, (self.f, self.c, self.lambda_bar, self.lambda_bar_2))):
+            raise InvalidParameter("coefficients f, c and lambda_bar must be finite")
 
     @property
     def unit(self) -> "DerivedCoefficients":
@@ -347,11 +355,11 @@ class DerivedCoefficients:
             )
         s2 = s * s
         # "+ 0.0" turns the -0.0 of 0 * (negative) into 0.0, as a derivation
-        # at C = 0 writes it
-        out = replace(
-            self,
-            E=s2 * self.E + 0.0,
-            f=s2 * self.f + 0.0,
+        # at C = 0 writes it; an overflow is refused at construction
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = s2 * self.E + 0.0
+        out = DerivedCoefficients(
+            n=self.n, D=self.D, E=e, f=s2 * self.f + 0.0, c=self.c,
             lambda_bar=s2 * self.lambda_bar + 0.0,
             lambda_bar_2=s2 * self.lambda_bar_2 + 0.0,
         )
@@ -379,12 +387,13 @@ def derive_coefficients(
     qf: QuadraticForm, hyp: EllipsoidalHypothesis
 ) -> DerivedCoefficients:
     """Derive the full coefficient system from a reduced game and hypothesis."""
-    d, c, a, qm, fvec = _coefficient_terms(qf, hyp)
-    e = sym(4.0 * a @ a.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused at construction
+        d, c, a, qm, fvec = _coefficient_terms(qf, hyp)
+        e = sym(4.0 * a @ a.T)
+        f = 4.0 * float(fvec @ fvec)
     w = np.linalg.eigvalsh(qm)
     lambda_bar = float(w[-1]) if w.size else 0.0
     lambda_bar_2 = float(w[-2]) if w.size > 1 else 0.0
-    f = 4.0 * float(fvec @ fvec)
     return DerivedCoefficients(n=qf.n, D=d, E=e, f=f, c=c, lambda_bar=lambda_bar,
                                lambda_bar_2=lambda_bar_2)
 

@@ -38,7 +38,7 @@ piece of h, and its minimum lies at a projection: the search runs over the
 multiplier, not the trace.  It refines the gaps of the same tree as
 ``h_eq`` (lam >= 0), the lowest bound first, and stops with a certificate
 that the best point is within ``rho`` of the true minimum.  The returned
-Sigma is that point's projection.
+projection is that point's.
 
 The three programs so minimize over the same h of the same (D, E): the
 programs solved on one ``DerivedCoefficients`` read its ``pencil`` record,
@@ -75,6 +75,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleTrace,
+    InvalidMatrix,
     InvalidParameter,
     InvalidTolerance,
     NotPSD,
@@ -118,16 +119,13 @@ class HOracleResult:
 class ProgramSolution:
     """Solution record of one program.
 
-    ``projection`` is a rho-optimal projective solution of the program,
-    ``rank`` the rank of that projection (not certified to be the least
-    rank within rho), and ``rho`` the certified suboptimality of ``value``
-    (0 for exactly solved programs).  Every program's ``Sigma`` is its
-    ``projection``, the same array, and ``value`` is that projection's
-    objective.
+    ``projection`` is a rho-optimal projective solution Sigma of the
+    program, ``value`` its objective, ``rank`` its rank (not certified to be
+    the least rank within rho), and ``rho`` the certified suboptimality of
+    ``value`` (0 for exactly solved programs).
     """
 
     program: str
-    Sigma: np.ndarray
     value: float
     rank: int
     rho: float
@@ -161,9 +159,12 @@ class _Pencil:
     system, and every homothetic rescaling of it reads the same record: with
     E scaled by e^2, h_e(t) = h(t/e^2) and the multiplier scales by 1/e^2,
     while values, dual values and projections do not depend on e.  The
-    structural checks read their eigenvalues of D and E here too."""
+    structural checks read their eigenvalues of D and E here too.  A
+    non-finite entry of D or E is ``InvalidMatrix``."""
 
     def __init__(self, D: np.ndarray, E: np.ndarray):
+        if not (np.isfinite(D).all() and np.isfinite(E).all()):
+            raise InvalidMatrix("the trace program needs finite D and E")
         self.D = sym(D)
         self.E = sym(E)
         self.trD = float(np.trace(self.D))
@@ -402,11 +403,11 @@ def h_eq(
     chord, ``dual_value`` that line and ``lambda_dual`` its multiplier;
     ``OracleDiverged`` if no gap certifies within ``_MAX_PROBES`` probes.  At
     t = 0 and t = Tr E (within the rounding of the trace) the optimum is
-    closed-form.  E must be positive semidefinite up to 1e-12*(1 + |E|)
-    (``NotPSD`` otherwise).  ``pencil`` is the shared ``_Pencil`` of (D, E),
-    for callers that evaluate many t on the same pair; a call on it returns
-    bitwise what one on a fresh record does, as the descent from the root is
-    deterministic.
+    closed-form.  D and E must be finite (``InvalidMatrix`` otherwise) and E
+    positive semidefinite up to 1e-12*(1 + |E|) (``NotPSD`` otherwise).
+    ``pencil`` is the shared ``_Pencil`` of (D, E), for callers that evaluate
+    many t on the same pair; a call on it returns bitwise what one on a
+    fresh record does, as the descent from the root is deterministic.
     """
     pen = _Pencil(D, E) if pencil is None else pencil
     trE, normD, normE = pen.trE, pen.normD, pen.normE
@@ -415,7 +416,7 @@ def h_eq(
     # relative to Tr E, so that a target outside [0, Tr E] is rejected at
     # every scale of E; the floor keeps t = 0 feasible when E vanishes
     feas_tol = 1e-9 * max(abs(trE), 1e-13 * (1.0 + normE))
-    if t < -feas_tol or t > trE + feas_tol:
+    if not -feas_tol <= t <= trE + feas_tol:  # a nan target fails it too
         raise InfeasibleTrace(f"trace target {t} outside [0, {trE}]")
     t = min(max(float(t), 0.0), trE)
     if tol is None:
@@ -667,15 +668,17 @@ def _pass(pen: _Pencil, f: float, w: np.ndarray, lam_bar: np.ndarray, rho: float
     return [(pts[by_trace[i]], c) for i, c in zip(first.tolist(), certified)]
 
 
-def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, rho: float):
-    """Certified minimization of h(t) + psi(t) over [0, t_bar], where psi is
-    ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
+def _minimize_penalized(dcs: Sequence[DerivedCoefficients], alpha: float,
+                        lam_bars: Sequence[float], rho: float):
+    """Certified minimization of h(t) + psi(t) over [0, t_bar] in each
+    column, a rescaling of one unit system in ``dcs`` with its lam_bar in
+    ``lam_bars``, where psi is ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
 
-    Returns (t_best, projection, certified_rho): the best point's trace in
-    dc's units and its projection.  psi is concave and nondecreasing (see
-    ``solve_spop``), so j = h + psi is concave where h is linear, and its
-    minimum lies at a point of the graph of h that a probe of D + lam*E
-    finds (``_Pencil.refine``).
+    Returns one (t_best, projection, certified_rho) per column: the best
+    point's trace in the column's units and its projection.  psi is concave
+    and nondecreasing (see ``solve_spop``), so j = h + psi is concave where
+    h is linear, and its minimum lies at a point of the graph of h that a
+    probe of D + lam*E finds (``_Pencil.refine``).
 
     The search starts from the two ends, the closed form at 0 and the BP
     projection at t_bar, and keeps its points sorted by trace.  A gap [a, b]
@@ -692,24 +695,18 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     (``NumericalFailure`` if that leaves more than rho).  Of the points
     within 1e-12*(1 + |best|) of the best value, the smallest trace wins.
 
-    The search runs on ``dc.pencil``, the record of the unit system that
-    ``dc`` rescales by e = ``dc.scale``: with s = t/e^2, sqrt(f + t) is
+    The search runs on ``pencil``, the record of the unit system that a
+    column rescales by e = ``scale``: with s = t/e^2, sqrt(f + t) is
     e*sqrt(f1 + s), so it minimizes h1(s) + psi at q = sqrt(f1 + s) with
-    weight alpha*e, and every program at every scale descends one tree.
-    ``lam_bar`` is in dc's units.
-
-    ``dc`` may also be a sequence of rescalings of one unit system, the
-    columns of a sweep, with ``lam_bar`` one per column: the result is then
-    a list of one such triple per column.  One column is searched best first
-    from a heap (``_search``), several in one pass (``_pass``), whose
+    weight alpha*e, and every program at every scale descends one tree.  A
+    single solve is one column, searched best first from a heap
+    (``_search``); several are searched in one pass (``_pass``), whose
     column picks the gap that the heap would pop.
     """
     if not rho > 0.0:
         raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    one = isinstance(dc, DerivedCoefficients)
-    dcs, lam_bars = ([dc], [lam_bar]) if one else (list(dc), list(lam_bar))
     pen = dcs[0].pencil
     f = max(float(dcs[0].unit.f), 0.0)
     # where E vanishes at a column's scale, the constraint is vacuous and the
@@ -726,7 +723,7 @@ def _minimize_penalized(dc: DerivedCoefficients, alpha: float, lam_bar: float, r
     for k, (p, certified) in zip(live, found):
         e2 = dcs[k].scale * dcs[k].scale
         out[k] = (e2 * p.s, p.projection(pen), certified)
-    return out[0] if one else out
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -768,7 +765,7 @@ def solve_bp(dc: DerivedCoefficients) -> ProgramSolution:
     """Bayesian program: exact, Sigma = projection onto D's negative space."""
     p_lt = dc.pencil.bp
     return ProgramSolution(
-        program="BP", Sigma=p_lt, value=dc.pencil.bp_result.value + dc.c,
+        program="BP", value=dc.pencil.bp_result.value + dc.c,
         rank=_rank_projection(p_lt), rho=0.0, projection=p_lt,
     )
 
@@ -817,16 +814,15 @@ def solve_penalized(
     lam_bar)`` at q = sqrt(f + Tr(E S)): alpha*sqrt(f + t) for lam_bar = 0,
     else the beta-maximized penalty of SPOP (see ``_minimize_penalized``).
 
-    ``Sigma`` and ``projection`` are one array, the better by
-    ``extract_projection`` of 0 and the search's best projection, and
-    ``value`` is its objective: the value of a returned matrix, within the
-    certified ``rho`` of the optimum.
+    ``projection`` is the better by ``extract_projection`` of 0 and the
+    search's best projection, and ``value`` is its objective: the value of a
+    returned matrix, within the certified ``rho`` of the optimum.
     """
-    _, proj, certified = _minimize_penalized(dc, alpha, lam_bar, rho)
+    (_, proj, certified), = _minimize_penalized([dc], alpha, [lam_bar], rho)
     proj, value = extract_projection([np.zeros_like(proj), proj],
                                      _objective(dc, alpha, offset, lam_bar))
     return ProgramSolution(
-        program=program, Sigma=proj, value=value,
+        program=program, value=value,
         rank=_rank_projection(proj), rho=certified, projection=proj,
     )
 
@@ -1019,14 +1015,15 @@ def sweep(
         return []
     zero = np.zeros_like(dc_base.D)
     f = np.array([dc.f for dc in dcs])
-    # per projection, Tr(D P) and Tr(E P) at each scale, once computed
-    traces: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+    # per projection, Tr(D P) and Tr(E P) at each scale, once computed; an
+    # entry keeps its projection, so that no other array takes its id
+    traces: dict[int, tuple[np.ndarray, float, np.ndarray, np.ndarray]] = {}
 
     def objective(weights: np.ndarray, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """``_objective(dc, *weights)(p)`` in the columns idx, bitwise."""
         if id(p) not in traces:
-            traces[id(p)] = float(np.sum(dc_base.D * p)), np.empty(m), np.zeros(m, dtype=bool)
-        t_d, t_e, done = traces[id(p)]
+            traces[id(p)] = p, float(np.sum(dc_base.D * p)), np.empty(m), np.zeros(m, dtype=bool)
+        _, t_d, t_e, done = traces[id(p)]
         todo = idx[~done[idx]]
         # in blocks of about 2^20 floats, not one stack of every scale's E
         step = max(1, 2**20 // p.size)

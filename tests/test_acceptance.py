@@ -261,7 +261,7 @@ def test_a10_no_information_and_scale_invariance():
             solve_pop(dc, psn, 1e-8), solve_spop(dc, psn, 1e-8),
         ):
             assert sol.rank == 0
-            assert np.allclose(sol.Sigma, 0.0, atol=1e-9)
+            assert np.allclose(sol.projection, 0.0, atol=1e-9)
     # profitability of signaling is invariant under hypothesis scaling
     for s in range(10):
         n = int(rng.integers(2, 5))

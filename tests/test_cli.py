@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_sym
+from conftest import random_psd, random_reduced_game, random_sym
 from lqpersuasion import cli, evaluator, instance, programs
 from lqpersuasion.demo import BENCH3_D, BENCH3_E, BENCH3_Q, bench3_form, bench3_hypothesis
 from lqpersuasion.errors import NumericalFailure, OracleDiverged
@@ -32,6 +33,26 @@ def _bench_instance(tmp_path, eps=1.0, name="bench.json"):
 # --------------------------------------------------------------------------
 # solve
 # --------------------------------------------------------------------------
+
+
+def test_solve_record_writes_each_projection_under_both_keys(tmp_path):
+    # every program's optimum is projective, so the record writes its
+    # projection as Sigma too, the same text, and UOP's is BP's; the numbers
+    # are compared as text, so -0 and 0 differ
+    qf = random_reduced_game(np.random.default_rng(7), 10)
+    doc = {"schema_version": "1", "n": 10,
+           "reduced": {"Q": qf.Q.tolist(), "l": qf.l.tolist(), "r": qf.r},
+           "hypothesis": {"wasserstein": {"epsilon": 0.5}}}
+    for i, text in enumerate((_bench_doc(), json.dumps(doc))):
+        inst, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}.json"
+        inst.write_text(text, encoding="utf-8")
+        assert cli.main(["solve", "--instance", str(inst), "--out", str(out)]) == 0
+        rec = json.loads(out.read_text(), parse_float=str, parse_int=str)
+        res = {r["program"]: r for r in rec["results"]}
+        assert list(res) == ["BP", "PP", "UOP", "POP", "SPOP"]
+        for r in res.values():
+            assert r["Sigma"] == r["projection"], r["program"]
+        assert res["UOP"]["projection"] == res["BP"]["projection"]
 
 
 def test_solve_bp_golden(tmp_path):
@@ -210,6 +231,19 @@ def test_dump_json_shared_array_text():
     shared = {"x": a, "ys": [{"y": a}, {"y": a}], "z": {"w": a}}
     copies = {"x": a.copy(), "ys": [{"y": a.copy()}, {"y": a.copy()}], "z": {"w": a.copy()}}
     assert cli._dump_json(shared) == cli._dump_json(copies)
+
+
+def test_dump_json_memo_text():
+    # the writer formats an array once per indent: an array written at two
+    # indents, and the 2-D slices of 3-D arrays (views that live only while
+    # their array is written), write exactly the text of equal copies
+    a = np.array([[0.25, -0.0, 1e-300], [np.nan, 1.0 / 3.0, -np.inf]])
+    cubes = {"c": np.stack([a, 2.0 * a]), "d": np.stack([3.0 * a, 4.0 * a])}
+    shared = {"x": a, "y": {"z": a}, "w": a, **cubes}
+    copies = {"x": a.copy(), "y": {"z": a.copy()}, "w": a.copy(),
+              **{k: [m.copy() for m in c] for k, c in cubes.items()}}
+    assert cli._dump_json(shared) == cli._dump_json(copies)
+    assert cli._dump_json(a, 2) == cli._dump_json(a.copy(), 2) != cli._dump_json(a)
 
 
 def test_sweep_header_and_single_step(tmp_path):
@@ -498,23 +532,41 @@ def test_nan_scale_or_rho_exits_2(tmp_path, capsys):
         ["--mc-samples", "10", "--mc-seed", str(2**64)],
         ["--eps-hi", "nan"],
         ["--eps-hi", "-1"],
+        # eps^2 * E overflows: the scaled coefficients are refused
+        ["--eps-hi", "1e200"],
     ],
 )
 def test_bad_sweep_input_solves_no_row(tmp_path, capsys, monkeypatch, args):
     inst = _bench_instance(tmp_path)
     rows = [0]
-    solve_uop = programs.solve_uop
+    search = programs._minimize_penalized
 
     def counting(*a, **kw):
         rows[0] += 1
-        return solve_uop(*a, **kw)
+        return search(*a, **kw)
 
-    monkeypatch.setattr(programs, "solve_uop", counting)
+    monkeypatch.setattr(programs, "_minimize_penalized", counting)
     rc = cli.main(["sweep", "--instance", inst, "--steps", "3", *args,
                    "--out", str(tmp_path / "sweep.csv")])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
     assert rows[0] == 0
+
+
+@pytest.mark.parametrize("hyp", [{"scaled_identity": 1e200}, {"matrix": [[1e200]]}])
+def test_overflowing_scale_exits_2(tmp_path, capsys, hyp):
+    # on the n = 1 game Q = [[4, -2], [-2, 1]], E = 4*C^2 overflows at
+    # C = 1e200: the coefficients are refused, not solved to nan values
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema_version": "1", "n": 1, "hypothesis": hyp,
+                                "reduced": {"Q": [[4.0, -2.0], [-2.0, 1.0]]}}))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["solve", "--instance", str(path), "--out", str(out)])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,34 @@ def test_scaled_homothety():
     for s in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter):
             dc.scaled(s)
+
+
+def test_non_finite_coefficients_refused():
+    # on the n = 1 game Q = [[4, -2], [-2, 1]], a scale of 1e200 overflows
+    # E = 4 a a^T; the system is refused at construction, with no warning,
+    # whether derived at that scale, rescaled to it or built by hand
+    qf = QuadraticForm(n=1, Q=np.array([[4.0, -2.0], [-2.0, 1.0]]), l=np.zeros(2), r=0.0)
+    unit = derive_coefficients(qf, hypothesis_wasserstein(1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMatrix):
+            derive_coefficients(qf, EllipsoidalHypothesis(C=np.array([[1e200]])))
+        for s in (1e200, 1e154):  # s^2 overflows, or s^2 * E alone
+            with pytest.raises(InvalidMatrix):
+                unit.scaled(s)
+        # with q12 + q22 = 0, E = 0 and only Qm, so lambda_bar, overflows
+        flat = QuadraticForm(n=1, Q=np.array([[1.0, -1.0], [-1.0, 1.0]]), l=np.zeros(2), r=0.0)
+        with pytest.raises(InvalidParameter):
+            derive_coefficients(flat, EllipsoidalHypothesis(C=np.array([[1e200]])))
+    good = dict(n=1, D=np.eye(1), E=np.eye(1), f=1.0, c=0.0, lambda_bar=0.5, lambda_bar_2=0.0)
+    instance.DerivedCoefficients(**good)
+    for key, bad in (("D", np.array([[np.nan]])), ("E", np.array([[np.inf]]))):
+        with pytest.raises(InvalidMatrix):
+            instance.DerivedCoefficients(**{**good, key: bad})
+    for key in ("f", "c", "lambda_bar", "lambda_bar_2"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                instance.DerivedCoefficients(**{**good, key: bad})
 
 
 def test_derive_dimension_mismatch():

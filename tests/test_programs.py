@@ -28,7 +28,9 @@ from lqpersuasion import (
 )
 from lqpersuasion import instance, programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
-from lqpersuasion.errors import InfeasibleTrace, InvalidTolerance, NotPSD, NumericalFailure
+from lqpersuasion.errors import (
+    InfeasibleTrace, InvalidMatrix, InvalidTolerance, NotPSD, NumericalFailure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +306,18 @@ def test_h_eq_infeasible_trace():
             h_eq(np.eye(2), e, t)
 
 
+def test_h_eq_rejects_non_finite_input():
+    # a nan or inf entry of D or E is refused where the record is built, and
+    # a nan target fails the range test, as no trace equals it
+    eye = np.eye(2)
+    for d, e in ((np.array([[np.nan]]), np.eye(1)), (eye, np.diag([np.inf, 1.0])),
+                 (np.diag([-np.inf, 1.0]), eye)):
+        with pytest.raises(InvalidMatrix):
+            h_eq(d, e, 0.5)
+    with pytest.raises(InfeasibleTrace):
+        h_eq(-eye, eye, math.nan)
+
+
 def test_h_eq_zero_e():
     d = np.diag([-2.0, 3.0])
     res = h_eq(d, np.zeros((2, 2)), 0.0)
@@ -427,7 +441,7 @@ def test_bp_full_revelation_on_bench(bench_dc):
     sol = solve_bp(bench_dc)
     assert sol.value == pytest.approx(167.0, abs=1e-9)
     assert sol.rank == 3
-    assert np.allclose(sol.Sigma, np.eye(3), atol=1e-9)
+    assert np.allclose(sol.projection, np.eye(3), atol=1e-9)
 
 
 def test_uop_is_bp_plus_lambda_bar(bench_dc):
@@ -483,7 +497,7 @@ def test_solution_structure(bench_dc, gauss3):
         solve_pop(bench_dc, gauss3, 1e-5),
         solve_spop(bench_dc, gauss3, 1e-5),
     ):
-        w_sigma = np.linalg.eigvalsh(sol.Sigma)
+        w_sigma = np.linalg.eigvalsh(sol.projection)
         assert w_sigma.min() > -1e-8 and w_sigma.max() < 1.0 + 1e-8
         p = sol.projection
         assert np.allclose(p @ p, p, atol=1e-9)
@@ -566,7 +580,7 @@ def test_solve_pp_scores_the_zero_projection():
         lambda_bar=0.5, lambda_bar_2=0.0,
     )
     assert solve_bp(dc).rank == 0
-    _, searched, _ = programs._minimize_penalized(dc, 1.0, 0.0, 1e-6)
+    (_, searched, _), = programs._minimize_penalized([dc], 1.0, [0.0], 1e-6)
     assert programs._rank_projection(searched) == 1
     sol = solve_pp(dc, 1e-6)
     assert (sol.rank, sol.value) == (0, 1.5)
@@ -640,7 +654,6 @@ def test_penalized_value_is_its_projections_objective(bench_dc, gauss3):
     for dc, ps, rho in cases:
         for program in ("PP", "POP", "SPOP"):
             sol, obj = _solve_penalized_program(program, dc, ps, rho)
-            assert sol.Sigma is sol.projection, sol.program
             assert sol.value == obj(sol.projection), sol.program
             assert 0.0 <= sol.rho <= rho
 
@@ -1013,7 +1026,7 @@ def test_scaled_programs_match_fresh_derivation(case):
         # the search runs in unit coordinates and returns t in the caller's:
         # the trace of the projection it returns, up to the rounding of two
         # sums (2.7e-15 relative at most here)
-        t_s, p_s, _ = programs._minimize_penalized(scaled, 1.0, 0.0, rho)
+        (t_s, p_s, _), = programs._minimize_penalized([scaled], 1.0, [0.0], rho)
         want = [solve_pp(fresh, rho), solve_pop(fresh, ps, rho), solve_spop(fresh, ps, rho)]
         for g, w in zip(got, want):
             assert abs(g.value - w.value) <= rho, (eps, g.program)
