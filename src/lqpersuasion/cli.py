@@ -2,7 +2,9 @@
 
 Instance files are JSON (schema_version "1"), matrices row-major arrays of
 arrays.  All numeric output is serialized with 17 significant digits, LF
-newlines, UTF-8 — identical inputs produce byte-identical outputs.
+newlines, UTF-8 — identical inputs produce byte-identical outputs.  Each
+array of a record, and each CSV line, is written by one ``%``-format; the
+argument parser is built once per process, on the first ``main`` call.
 
 Exit codes: 0 success, 2 malformed input, 3 numerical failure.
 """
@@ -36,10 +38,11 @@ def _fmt(x: float) -> str:
 def _dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text; a 2-D array is written a row per line.
 
-    The pieces of the text go to one list, joined once.  An array of two or
-    more dimensions is formatted once per indent: the memo keeps it, so that
-    no other object takes its id, next to its text (a ``solve --program
-    all`` record writes each projection twice, and BP's and UOP's are one).
+    The pieces of the text go to one list, joined once.  An array is written
+    in one pass, one ``%``-format of all its entries laid out by ``_layout``,
+    once per indent: the memo keeps it, so that no other object takes its
+    id, next to its text (a ``solve --program all`` record writes each
+    projection twice, and BP's and UOP's are one).
     """
     out: list[str] = []
     _dump(obj, indent, out, {})
@@ -49,19 +52,15 @@ def _dump_json(obj, indent: int = 0) -> str:
 def _dump(obj, indent: int, out: list[str], memo: dict) -> None:
     """Append the pieces of ``_dump_json(obj, indent)`` to ``out``."""
     pad = "  " * indent
-    if isinstance(obj, np.ndarray) and obj.ndim == 1:
-        vals = obj.astype(float).tolist()
-        if np.all(np.isfinite(obj)):  # one %-format for the whole row
-            out.append("[" + ", ".join(["%.17g"] * len(vals)) % tuple(vals) + "]")
-        else:
-            out.append("[" + ", ".join(map(_scalar, vals)) + "]")
-    elif isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray):
         key = (id(obj), indent)
         if key not in memo:
-            start = len(out)
-            _dump(list(obj), indent, out, memo)
-            memo[key] = obj, "".join(out[start:])
-            del out[start:]
+            vals = obj.astype(float).ravel().tolist()
+            if np.isfinite(obj).all():
+                text = _layout(obj.shape, pad, "%.17g") % tuple(vals)
+            else:
+                text = _layout(obj.shape, pad, "%s") % tuple(map(_scalar, vals))
+            memo[key] = obj, text
         out.append(memo[key][1])
     elif isinstance(obj, dict) and obj:
         sep = "{\n"
@@ -82,6 +81,15 @@ def _dump(obj, indent: int, out: list[str], memo: dict) -> None:
         out.append("[" + ", ".join(map(_scalar, obj)) + "]")
     else:
         out.append(_scalar(obj))
+
+
+def _layout(shape: tuple, pad: str, spec: str) -> str:
+    """The format string of an array of ``shape`` written at indent ``pad``:
+    ``spec`` once per entry, a row of the last axis per line."""
+    if len(shape) == 1:
+        return "[" + ", ".join([spec] * shape[0]) + "]"
+    row = pad + "  " + _layout(shape[1:], pad + "  ", spec)
+    return "[\n" + ",\n".join([row] * shape[0]) + f"\n{pad}]" if shape[0] else "[]"
 
 
 def _scalar(obj) -> str:
@@ -325,15 +333,17 @@ def cmd_solve(args) -> int:
 def _csv_rows(rows, mc) -> str:
     """The sweep CSV; ``mc``, if given, holds one Monte-Carlo estimate per row."""
     header = "epsilon,val_uop,val_pop,val_spop,val_pp,val_2uop,rank_pp"
+    # one %-format per line: '%.17g' spells nan and +-inf as _fmt does
+    line = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
     if mc is not None:
         header += ",mc_true_mean,mc_true_stderr"
+        line += ",%.17g,%.17g"
     lines = [header]
     for i, r in enumerate(rows):
-        vals = (r.epsilon, r.val_uop, r.val_pop, r.val_spop, r.val_pp, r.val_2uop)
-        cells = [_fmt(v) for v in vals] + [str(r.rank_pp)]
+        vals = (r.epsilon, r.val_uop, r.val_pop, r.val_spop, r.val_pp, r.val_2uop, r.rank_pp)
         if mc is not None:
-            cells += [_fmt(mc[i].mean), _fmt(mc[i].stderr)]
-        lines.append(",".join(cells))
+            vals += (mc[i].mean, mc[i].stderr)
+        lines.append(line % vals)
     return "\n".join(lines) + "\n"
 
 
@@ -392,9 +402,9 @@ def cmd_example(args) -> int:
             f"--eps-lo {args.eps_lo}, --eps-hi {args.eps_hi}"
         )
     cols = ("abp_ni", "abp_fi", "pp_ni", "pp_fi", "pop_ni", "pop_fi")
-    lines = ["epsilon," + ",".join(cols)]
-    for e, vals in rows:
-        lines.append(",".join([_fmt(e)] + [_fmt(vals[c]) for c in cols]))
+    line = ",".join(["%.17g"] * (1 + len(cols)))
+    lines = ["epsilon," + ",".join(cols)] + [line % (e, *[vals[c] for c in cols])
+                                             for e, vals in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
 
     sys.stdout.write(
@@ -415,7 +425,7 @@ def cmd_example(args) -> int:
                     args.k, args.n, eps, r_star * 1.01, r_star * 4.0, 40
                 )
                 scan_path = str(Path(args.out).with_suffix("")) + "_radius.csv"
-                scan_lines = ["R,cost"] + [f"{_fmt(r)},{_fmt(cst)}" for r, cst in scan]
+                scan_lines = ["R,cost"] + ["%.17g,%.17g" % rc for rc in scan]
                 _write_text(scan_path, "\n".join(scan_lines) + "\n")
     return 0
 
@@ -466,9 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call, reused by the later ones
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

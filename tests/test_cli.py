@@ -246,6 +246,41 @@ def test_dump_json_memo_text():
     assert cli._dump_json(a, 2) == cli._dump_json(a.copy(), 2) != cli._dump_json(a)
 
 
+def _reference_text(a: np.ndarray, indent: int) -> str:
+    """The writer's text of array ``a`` at ``indent``, built entry by entry
+    from ``_scalar``: a row of the last axis per line."""
+    pad = "  " * indent
+    if a.ndim == 1:
+        return "[" + ", ".join(cli._scalar(float(v)) for v in a) + "]"
+    if len(a) == 0:
+        return "[]"
+    rows = [pad + "  " + _reference_text(r, indent + 1) for r in a]
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+
+
+@pytest.mark.parametrize("indent", [0, 1, 2, 3])
+def test_dump_json_array_text_matches_scalar_reference(indent):
+    # the one-pass writer of an array writes the text that _scalar gives
+    # entry by entry: seeded matrices over 60 decades; the values where
+    # '%.17g' switches to exponent form, alone (one format for the whole
+    # array) and with nan and +-inf, or +-inf alone (quoted); empty, one-row,
+    # one-column and 3-D shapes
+    rng = np.random.default_rng(23)
+    edges = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1e17, -2.5e17, 1.0 / 3.0]
+    arrays = [
+        rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-30, 30, size=(4, 4)),
+        rng.normal(size=(3, 5)),
+        np.array(edges).reshape(2, 4),
+        np.array(edges + [np.nan, np.inf, -np.inf, 1.0]).reshape(3, 4),
+        np.empty((0, 0)), np.empty((0, 3)), np.array([[-0.0]]),
+        rng.normal(size=(1, 6)), rng.normal(size=(6, 1)),
+        rng.normal(size=(2, 3, 4)), np.stack([np.array(edges).reshape(2, 4)] * 3),
+        np.array([[[np.inf, 1e17]], [[-np.inf, -0.0]]]),
+    ]
+    for a in arrays:
+        assert cli._dump_json(a, indent) == _reference_text(a, indent), a.shape
+
+
 def test_sweep_header_and_single_step(tmp_path):
     inst = _bench_instance(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -611,6 +646,52 @@ def test_search_evaluation_budget_fails_typed(tmp_path, capsys, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the parser, built once per process
+# --------------------------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    inst = _bench_instance(tmp_path)
+    for program in ("bp", "uop", "bp"):
+        assert cli.main(["solve", "--instance", inst, "--program", program,
+                         "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_reused_parser_keeps_no_options(tmp_path, monkeypatch):
+    # the options of one call do not carry over to the next: a plain sweep
+    # after a 3-step sweep at rho 1e-3 solves 200 steps at the default rho
+    seen = []
+    sweep = programs.sweep
+    monkeypatch.setattr(programs, "sweep", lambda dc, ps, grid, rho:
+                        seen.append((len(grid), rho)) or sweep(dc, ps, grid, rho))
+    inst, out = _bench_instance(tmp_path), tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--instance", inst, "--steps", "3", "--rho", "1e-3"]) == 0
+    assert cli.main(["sweep", "--instance", inst, "--out", str(out)]) == 0
+    dc = instance.derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    assert seen == [(3, 1e-3), (200, programs.default_rho(dc))]
+    assert len(out.read_text().splitlines()) == 201
+
+
+def test_parser_error_leaves_the_next_call_unchanged(tmp_path):
+    # an argparse error (exit 2) between two calls: the call after it writes
+    # what the call before it wrote, every program at the default rho
+    inst = _bench_instance(tmp_path)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["solve", "--instance", inst, "--out", str(a)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--program", "pp", "--rho", "1e-3"])
+    assert exc.value.code == 2
+    assert cli.main(["solve", "--instance", inst, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(json.loads(b.read_text())["results"]) == 5
+
+
+# --------------------------------------------------------------------------
 # subprocess entry point
 # --------------------------------------------------------------------------
 
@@ -636,6 +717,26 @@ def test_module_entry_point_solve_stdout(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"][0]["value"] == pytest.approx(167.0, abs=1e-9)
+
+
+def test_in_process_output_equals_module_entry_point(tmp_path):
+    # each command writes the same bytes through cli.main, with its parser
+    # reused, as through python -m lqpersuasion in a fresh interpreter
+    inst = _bench_instance(tmp_path)
+    commands = {
+        "solve.json": ["solve", "--instance", inst],
+        "sweep.csv": ["sweep", "--instance", inst, "--steps", "20", "--mc-samples", "200"],
+        "opening.csv": ["example", "--which", "opening", "--k", "2", "--n", "3"],
+    }
+    for name, argv in commands.items():
+        out, ref = tmp_path / f"in-{name}", tmp_path / f"module-{name}"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "lqpersuasion", *argv, "--out", str(ref)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == ref.read_bytes(), name
+    assert ((tmp_path / "in-opening_radius.csv").read_bytes()
+            == (tmp_path / "module-opening_radius.csv").read_bytes())
 
 
 def test_runs_without_scipy(tmp_path):
