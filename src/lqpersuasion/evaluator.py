@@ -5,12 +5,15 @@ no/full-information crossover thresholds.
 The Monte-Carlo sampler is counter-based (splitmix64 finalizer keyed by
 (seed, sample index, coordinate stream)), so sample i's draw never depends
 on how many samples were produced before it; chunked/parallel evaluation is
-bit-identical to the sequential one by construction.
+bit-identical to the sequential one by construction.  It fills cache-sized
+blocks of rows, all coordinates at once; ``gaussian_samples`` says why the
+bits are those of a coordinate-by-coordinate evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,37 +37,62 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM = np.uint64(0xD1B54A32D192ED03)
 
 
-def _finalize64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output finalizer on uint64 words."""
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _uniforms(seed: int, idx: np.ndarray, stream: int) -> np.ndarray:
-    """Uniform (0, 1] draws for the given sample indices on one stream."""
-    with np.errstate(over="ignore"):  # uint64 arithmetic wraps by design
-        base = np.uint64(seed) + np.uint64(stream) * _STREAM
-        z = _finalize64(base + idx.astype(np.uint64) * _GOLDEN)
-    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+# draws per stream block of the sampler: each of its two uint64 workspaces
+# then takes 512 KB
+_DRAWS = 2**15
 
 
 def gaussian_samples(seed: int, start: int, count: int, dim: int) -> np.ndarray:
     """Standard-normal samples with per-sample counters start..start+count-1.
 
-    Box-Muller on two uniform streams per coordinate; no rejection, so the
-    draw for a given (seed, index) is a pure function of the counter.
+    Coordinate j of sample i is Box-Muller on the uniforms of streams 2j and
+    2j + 1: stream s draws ((z >> 11) + 1) 2^-53 in (0, 1] from the splitmix64
+    finalizer z of seed + s*_STREAM + i*_GOLDEN (uint64 words, wrapping).  No
+    rejection, so the draw for a given (seed, index) is a pure function of
+    the counter.
+
+    The rows are filled in blocks of _DRAWS // dim, all 2*dim streams of a
+    block at once: the counter product i*_GOLDEN is formed once per block and
+    shared by every stream, the finalizer runs in place on one reused uint64
+    workspace whose first dim rows hold the u1 streams and the rest the u2
+    streams, the uniforms and Box-Muller are computed in place in the same
+    memory, and the block is stored into the output once, transposed.  The
+    bits are those of a coordinate-by-coordinate evaluation: the integer
+    steps are exact, and each draw meets the same elementwise IEEE operations
+    in the same order ((2 pi) * u2 and -2 * log u1 included), on contiguous
+    operands, so neither the block size nor the layout can change a result.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
     out = np.empty((count, dim))
-    for j in range(dim):
-        u1 = _uniforms(seed, idx, 2 * j)
-        u2 = _uniforms(seed, idx, 2 * j + 1)
-        out[:, j] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    rows = max(1, _DRAWS // max(dim, 1))
+    # streams 0, 2, 4, ... (the u1 of each coordinate), then 1, 3, 5, ...;
+    # uint64 array arithmetic wraps silently, as the finalizer needs
+    streams = np.arange(2 * dim, dtype=np.uint64).reshape(dim, 2).T.reshape(-1, 1)
+    base = np.uint64(seed) + streams * _STREAM
+    z = np.empty(2 * dim * min(rows, count), dtype=np.uint64)
+    t = np.empty_like(z)
+    for s in range(0, count, rows):
+        b = min(rows, count - s)
+        # contiguous (2*dim x b) views, so the last block's loops are the same
+        zb, tb = z[: 2 * dim * b].reshape(2 * dim, b), t[: 2 * dim * b].reshape(2 * dim, b)
+        np.add(base, np.arange(start + s, start + s + b, dtype=np.uint64) * _GOLDEN, out=zb)
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(zb, np.uint64(shift), out=tb)
+            zb ^= tb
+            if mix is not None:
+                zb *= mix
+        np.right_shift(zb, np.uint64(11), out=tb)
+        u = zb.view(np.float64)
+        np.copyto(u, tb, casting="unsafe")
+        u += 1.0
+        u *= 2.0**-53
+        u1, u2 = u[:dim], u[dim:]
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * math.pi
+        np.cos(u2, out=u2)
+        u1 *= u2
+        out[s : s + b] = u1.T
     return out
 
 
@@ -90,8 +118,12 @@ class McEstimate:
 
 
 def check_sampling(n_samples: int, seed: int) -> None:
-    """``InvalidParameter`` unless n_samples >= 1 and the seed is a uint64
-    word of the sampler, 0 <= seed < 2^64."""
+    """``InvalidParameter`` unless both are integers (a bool or a float is
+    not, even an integral one), n_samples >= 1 and the seed is a uint64 word
+    of the sampler, 0 <= seed < 2^64."""
+    for name, v in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {v!r}")
     if not n_samples >= 1:
         raise InvalidParameter("n_samples must be >= 1")
     if not 0 <= seed < 2**64:

@@ -18,7 +18,11 @@ sit at the boundary lam -> lambda_max and is evaluated analytically.
 
 Many vectors v share one Qm in the Monte-Carlo evaluator:
 ``worst_case_penalty_batch`` decomposes Qm once and solves the vectors in
-cache-sized blocks, one column per vector.
+cache-sized blocks, one column per vector.  A block selects and compacts
+its (rest x rows) arrays with ``np.compress``, not boolean or fancy
+indexing: the copy is the same, but ``compress`` runs as a ``take``, which
+is faster and releases the GIL, so the Monte-Carlo evaluator's worker
+threads overlap there.
 """
 
 from __future__ import annotations
@@ -138,8 +142,8 @@ def _solve_block(
     """Penalties of the columns of W (rows in the eigenbasis, one per
     column) into ``out``; returns how many rows ran out of Newton steps."""
     w_sq = W**2
-    rest_w_sq = w_sq[~top]
-    w_top_sq = _col_sum(w_sq[top])
+    rest_w_sq = np.compress(~top, w_sq, axis=0)
+    w_top_sq = _col_sum(np.compress(top, w_sq, axis=0))
     vnorm = np.sqrt(_col_sum(w_sq))
     w_top_sq[w_top_sq <= (1e-14 * vnorm) ** 2] = 0.0
 
@@ -149,10 +153,14 @@ def _solve_block(
     d0 = 1.0 - _col_sum(rest_w_sq / gaps**2)
     boundary = (w_top_sq == 0.0) & (d0 >= 0.0)
     out[:] = lmax
-    out[boundary] += _col_sum(rest_w_sq[:, boundary] / gaps)
+    if boundary.any():
+        out[boundary] += _col_sum(np.compress(boundary, rest_w_sq, axis=1) / gaps)
+        rsq = np.compress(~boundary, rest_w_sq, axis=1)
+    else:
+        rsq = rest_w_sq
 
     idx = np.flatnonzero(~boundary)
-    wt, rsq, hi = w_top_sq[idx], rest_w_sq[:, idx], vnorm[idx] * (1.0 + 1e-15)
+    wt, hi = w_top_sq[idx], vnorm[idx] * (1.0 + 1e-15)
     # psi(x) <= 0 at the start: ||(x - Qm + lmax)^{-1} w|| >= 2 at half the
     # top mass, and d0 < 0 at x = 0 when there is none; psi(||v||) >= 0
     x = 0.5 * np.sqrt(wt)
@@ -183,7 +191,8 @@ def _solve_block(
             xa = nxt
             continue
         x[pos[~moving]] = xa[~moving]
-        pos, xa, wa, ha, ra = pos[moving], nxt[moving], wa[moving], ha[moving], ra[:, moving]
+        pos, xa, wa, ha = pos[moving], nxt[moving], wa[moving], ha[moving]
+        ra = np.compress(moving, ra, axis=1)
     val = lmax + x + _col_sum(rsq / (x + gaps))
     out[idx] = val + wt / np.where(wt > 0.0, x, 1.0)
     return pos.size

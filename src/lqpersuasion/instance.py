@@ -324,7 +324,13 @@ class DerivedCoefficients:
     )
 
     def __post_init__(self):
-        if not (np.isfinite(self.D).all() and np.isfinite(self.E).all()):
+        if not np.isfinite(self.D).all():
+            raise InvalidMatrix("coefficient matrices D and E must be finite")
+        self._check_scaled()
+
+    def _check_scaled(self) -> None:
+        # the checks of what ``scaled`` changes; D is the unit system's
+        if not np.isfinite(self.E).all():
             raise InvalidMatrix("coefficient matrices D and E must be finite")
         if not all(map(math.isfinite, (self.f, self.c, self.lambda_bar, self.lambda_bar_2))):
             raise InvalidParameter("coefficients f, c and lambda_bar must be finite")
@@ -358,13 +364,15 @@ class DerivedCoefficients:
         # at C = 0 writes it; an overflow is refused at construction
         with np.errstate(over="ignore", invalid="ignore"):
             e = s2 * self.E + 0.0
-        out = DerivedCoefficients(
+        # filled past __init__, whose __post_init__ would check D again
+        out = object.__new__(DerivedCoefficients)
+        out.__dict__.update(
             n=self.n, D=self.D, E=e, f=s2 * self.f + 0.0, c=self.c,
             lambda_bar=s2 * self.lambda_bar + 0.0,
             lambda_bar_2=s2 * self.lambda_bar_2 + 0.0,
+            scale=self.scale * s, _unit=self.unit,
         )
-        object.__setattr__(out, "scale", self.scale * s)
-        object.__setattr__(out, "_unit", self.unit)
+        out._check_scaled()
         return out
 
 

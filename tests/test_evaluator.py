@@ -17,7 +17,7 @@ from lqpersuasion import (
     thresholds_1d,
 )
 from conftest import random_reduced_game
-from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, innermax, programs
+from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, evaluator, innermax, programs
 from lqpersuasion.demo import tracking_form
 from lqpersuasion.errors import InvalidParameter, InvalidRadius, OutOfRegime
 from lqpersuasion.evaluator import _gamma_q, gaussian_samples, prior_samples
@@ -45,6 +45,71 @@ def test_samples_depend_only_on_counter():
     assert not np.array_equal(full, other_seed)
 
 
+# (seed, start, dim): float.hex of draws (0, 0) and (1, dim - 1) of
+# gaussian_samples(seed, start, 2, dim), recorded from the stream-by-stream
+# sampler; every Monte-Carlo reference rests on these bits
+_GOLDEN_DRAWS = {
+    (0x0, 0x0, 1): ("-0x1.11f35683e68abp+3", "0x1.c96051cd28377p-3"),
+    (0x0, 0x0, 3): ("-0x1.11f35683e68abp+3", "-0x1.41406c413ab00p-1"),
+    (0x0, 0x0, 30): ("-0x1.11f35683e68abp+3", "-0x1.7bcb3c22ff8d5p+0"),
+    (0x0, 0x10000000000, 1): ("-0x1.85cc3fed4736ap-2", "-0x1.0a5d0063860e4p+1"),
+    (0x0, 0x10000000000, 3): ("-0x1.85cc3fed4736ap-2", "-0x1.6c70405193bfap-2"),
+    (0x0, 0x10000000000, 30): ("-0x1.85cc3fed4736ap-2", "-0x1.2d9305721c34ep+0"),
+    (0xFFFFFFFFFFFFFFFF, 0x0, 1): ("0x1.aa88575266afbp-1", "-0x1.864fd79b54ba5p-4"),
+    (0xFFFFFFFFFFFFFFFF, 0x0, 3): ("0x1.aa88575266afbp-1", "0x1.35ad2c1858bfcp+0"),
+    (0xFFFFFFFFFFFFFFFF, 0x0, 30): ("0x1.aa88575266afbp-1", "0x1.23c9fc110a92fp-4"),
+    (0xFFFFFFFFFFFFFFFF, 0x10000000000, 1): ("-0x1.eefa0ac4dd944p-2", "-0x1.eeab71d79fd5ep-1"),
+    (0xFFFFFFFFFFFFFFFF, 0x10000000000, 3): ("-0x1.eefa0ac4dd944p-2", "0x1.edf13b746e174p-2"),
+    (0xFFFFFFFFFFFFFFFF, 0x10000000000, 30): ("-0x1.eefa0ac4dd944p-2", "-0x1.ba2dae701a056p-4"),
+}
+
+
+def test_gaussian_samples_golden_bits():
+    for (seed, start, dim), (first, last) in _GOLDEN_DRAWS.items():
+        g = gaussian_samples(seed, start, 2, dim)
+        assert (float(g[0, 0]).hex(), float(g[1, dim - 1]).hex()) == (first, last)
+
+
+def _reference_gaussians(seed: int, start: int, count: int, dim: int) -> np.ndarray:
+    """The sampler's formula one coordinate at a time: splitmix64 of
+    seed + stream * 0xD1B5... + index * 0x9E37..., streams 2j and 2j + 1 of
+    coordinate j, Box-Muller on their uniforms."""
+    golden, stream_key = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xD1B54A32D192ED03)
+    mixes = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)), (31, None))
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    out = np.empty((count, dim))
+    with np.errstate(over="ignore"):
+        for j in range(dim):
+            u = []
+            for stream in (2 * j, 2 * j + 1):
+                z = np.uint64(seed) + np.uint64(stream) * stream_key + idx * golden
+                for shift, mix in mixes:
+                    z = z ^ (z >> np.uint64(shift))
+                    if mix is not None:
+                        z = z * mix
+                u.append(((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53)
+            out[:, j] = np.sqrt(-2.0 * np.log(u[0])) * np.cos(2.0 * math.pi * u[1])
+    return out
+
+
+def test_block_sampler_matches_per_coordinate_formula():
+    # counts around the block size cut the last block at every place that
+    # matters: empty, one row, one short of a block, a block, one over
+    for dim in range(1, 65):
+        rows = evaluator._DRAWS // dim
+        seed, start = ((7, 0), (2**64 - 1, 2**40))[dim % 2]
+        for count in (0, 1, rows - 1, rows, rows + 1):
+            got = gaussian_samples(seed, start, count, dim)
+            assert got.shape == (count, dim)
+            assert got.tobytes() == _reference_gaussians(seed, start, count, dim).tobytes()
+    for dim in (1, 3, 30):
+        count = evaluator._DRAWS // dim + 1
+        g = _reference_gaussians(5, 3, count, dim)
+        expect = g / np.linalg.norm(g, axis=1, keepdims=True) * math.sqrt(dim)
+        got = prior_samples(PriorSpec("sphere", dim), seed=5, start=3, count=count)
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_sphere_samples_have_exact_radius():
     u = prior_samples(PriorSpec("sphere", 4), seed=1, start=0, count=5000)
     assert np.allclose(np.linalg.norm(u, axis=1), 2.0, atol=1e-12)
@@ -52,21 +117,26 @@ def test_sphere_samples_have_exact_radius():
 
 def test_mc_true_cost_deterministic_across_workers():
     # the worker chunks cut the inner maximization's blocks at other rows
-    # than one worker does: 2 workers take one full block and a few rows each
+    # than one worker does: 2 workers take one full block and a few rows
+    # each; they also start inside the sampler's blocks, of which the samples
+    # fill more than one at n = 3
     rng = np.random.default_rng(13)
     qf30, C30 = random_reduced_game(rng, 30), rng.normal(size=(30, 30))
     u = np.linalg.qr(rng.normal(size=(30, 30)))[0][:, :15]
     cases = [(tracking_form(2.0, 3), np.eye(3), np.eye(3)), (qf30, C30, u @ u.T)]
     samples = 2 * innermax._BLOCK + 17
+    assert evaluator._DRAWS // 3 < samples < 2 * (evaluator._DRAWS // 3)
     for qf, C, P in cases:
         for family in ("gaussian", "sphere"):
             prior = PriorSpec(family, qf.n)
-            ests = [
-                mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=w)
-                for w in (1, 2, 8)
-            ]
-            assert ests[0].mean == ests[1].mean == ests[2].mean
-            assert ests[0].stderr == ests[1].stderr == ests[2].stderr
+            ests = {
+                (e.mean, e.stderr)
+                for e in (
+                    mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=w)
+                    for w in (1, 2, 3, 8)
+                )
+            }
+            assert len(ests) == 1
 
 
 def test_mc_true_cost_matches_closed_form_full_information():
@@ -141,12 +211,18 @@ def test_mc_true_cost_reads_the_coefficient_terms(monkeypatch):
 
 def test_mc_true_cost_rejects_bad_samples_or_seed():
     # the sampler keys its counters by the seed as a uint64: a seed outside
-    # [0, 2^64) is a typed input error, not numpy's OverflowError
+    # [0, 2^64) is a typed input error, not numpy's OverflowError; so is a
+    # bool or a float, which used to run as its truncation (a seed) or fail
+    # inside numpy with a TypeError (a sample count)
     args = (tracking_form(2.0, 2), np.eye(2), PriorSpec("gaussian", 2), np.eye(2))
-    for n_samples, seed in ((0, 0), (10, -1), (10, 2**64)):
+    for n_samples, seed in ((0, 0), (10, -1), (10, 2**64), (10, 1.5), (10, 1.0), (10, True),
+                            (10, np.bool_(False)), (10.0, 1), (10.5, 1), (True, 1)):
         with pytest.raises(InvalidParameter):
             mc_true_cost(*args, n_samples=n_samples, seed=seed)
     assert mc_true_cost(*args, n_samples=10, seed=2**64 - 1).seed == 2**64 - 1
+    est = mc_true_cost(*args, n_samples=np.int64(10), seed=np.uint64(3))
+    assert est == mc_true_cost(*args, n_samples=10, seed=3)
+    assert type(est.n_samples) is int and type(est.seed) is int
 
 
 # --------------------------------------------------------------------------
