@@ -7,7 +7,11 @@ The Monte-Carlo sampler is counter-based (splitmix64 finalizer keyed by
 on how many samples were produced before it; chunked/parallel evaluation is
 bit-identical to the sequential one by construction.  It fills cache-sized
 blocks of rows, all coordinates at once; ``gaussian_samples`` says why the
-bits are those of a coordinate-by-coordinate evaluation.
+bits are those of a coordinate-by-coordinate evaluation.  ``mc_true_cost``
+streams each worker's samples from the sampler to the inner maximization
+one block of ``innermax._BLOCK`` rows at a time, through workspaces the
+worker allocates once, so its memory is O(workers * _BLOCK * n) floats plus
+one penalty per sample, not O(n_samples * n).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import innermax
 from .errors import InvalidParameter, InvalidRadius, OutOfRegime
 from .innermax import worst_case_penalty_batch
 from .instance import (
@@ -42,8 +47,19 @@ _STREAM = np.uint64(0xD1B54A32D192ED03)
 _DRAWS = 2**15
 
 
-def gaussian_samples(seed: int, start: int, count: int, dim: int) -> np.ndarray:
-    """Standard-normal samples with per-sample counters start..start+count-1.
+def _sampler_scratch(dim: int, count: int) -> np.ndarray:
+    """The sampler's two uint64 workspaces, for calls of up to ``count`` rows
+    (see ``gaussian_samples``)."""
+    rows = min(max(1, _DRAWS // max(dim, 1)), count)
+    return np.empty((2, 2 * dim * rows), dtype=np.uint64)
+
+
+def gaussian_samples(
+    seed: int, start: int, count: int, dim: int, out: np.ndarray | None = None, *,
+    _scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Standard-normal samples with per-sample counters start..start+count-1,
+    written into ``out`` ((count, dim), a new array if None) and returned.
 
     Coordinate j of sample i is Box-Muller on the uniforms of streams 2j and
     2j + 1: stream s draws ((z >> 11) + 1) 2^-53 in (0, 1] from the splitmix64
@@ -61,15 +77,17 @@ def gaussian_samples(seed: int, start: int, count: int, dim: int) -> np.ndarray:
     steps are exact, and each draw meets the same elementwise IEEE operations
     in the same order ((2 pi) * u2 and -2 * log u1 included), on contiguous
     operands, so neither the block size nor the layout can change a result.
+    ``_scratch``, from ``_sampler_scratch(dim, c)`` with c >= count, holds
+    the two uint64 workspaces across calls.
     """
-    out = np.empty((count, dim))
+    if out is None:
+        out = np.empty((count, dim))
+    z, t = _sampler_scratch(dim, count) if _scratch is None else _scratch
     rows = max(1, _DRAWS // max(dim, 1))
     # streams 0, 2, 4, ... (the u1 of each coordinate), then 1, 3, 5, ...;
     # uint64 array arithmetic wraps silently, as the finalizer needs
     streams = np.arange(2 * dim, dtype=np.uint64).reshape(dim, 2).T.reshape(-1, 1)
     base = np.uint64(seed) + streams * _STREAM
-    z = np.empty(2 * dim * min(rows, count), dtype=np.uint64)
-    t = np.empty_like(z)
     for s in range(0, count, rows):
         b = min(rows, count - s)
         # contiguous (2*dim x b) views, so the last block's loops are the same
@@ -96,14 +114,22 @@ def gaussian_samples(seed: int, start: int, count: int, dim: int) -> np.ndarray:
     return out
 
 
-def prior_samples(prior: PriorSpec, seed: int, start: int, count: int) -> np.ndarray:
-    """Samples from a named isotropic prior (counter-based, order-free)."""
-    g = gaussian_samples(seed, start, count, prior.n)
+def prior_samples(
+    prior: PriorSpec, seed: int, start: int, count: int, out: np.ndarray | None = None, *,
+    _scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Samples from a named isotropic prior (counter-based, order-free),
+    written into ``out`` ((count, n), a new array if None) and returned;
+    ``_scratch`` as in ``gaussian_samples``.  The sphere scales the Gaussian
+    rows to radius sqrt(n) in place."""
+    g = gaussian_samples(seed, start, count, prior.n, out, _scratch=_scratch)
     if prior.family == "gaussian":
         return g
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return g / norms * math.sqrt(prior.n)
+    g /= norms
+    g *= math.sqrt(prior.n)
+    return g
 
 
 @dataclass(frozen=True)
@@ -117,15 +143,17 @@ class McEstimate:
     seed: int
 
 
-def check_sampling(n_samples: int, seed: int) -> None:
-    """``InvalidParameter`` unless both are integers (a bool or a float is
-    not, even an integral one), n_samples >= 1 and the seed is a uint64 word
-    of the sampler, 0 <= seed < 2^64."""
-    for name, v in (("n_samples", n_samples), ("seed", seed)):
+def check_sampling(n_samples: int, seed: int, n_workers: int = 1) -> None:
+    """``InvalidParameter`` unless all three are integers (a bool or a float
+    is not, even an integral one), n_samples >= 1, n_workers >= 1 and the
+    seed is a uint64 word of the sampler, 0 <= seed < 2^64."""
+    for name, v in (("n_samples", n_samples), ("seed", seed), ("n_workers", n_workers)):
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise InvalidParameter(f"{name} must be an integer, got {v!r}")
     if not n_samples >= 1:
         raise InvalidParameter("n_samples must be >= 1")
+    if not n_workers >= 1:
+        raise InvalidParameter("n_workers must be >= 1")
     if not 0 <= seed < 2**64:
         raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
 
@@ -146,24 +174,47 @@ def mc_true_cost(
     sample mean of the exact inner maximization at v = x P a - f_vec (see
     ``_coefficient_terms``).  Deterministic for fixed (seed, n_samples)
     regardless of ``n_workers``; ``check_sampling`` bounds the arguments.
+
+    The samples are split evenly over min(n_workers, blocks) threads, where
+    blocks = ceil(n_samples / ``innermax._BLOCK``).  Each thread streams its
+    rows through workspaces it allocates once: a block of samples, its
+    deviations v, the sampler's and the inner maximization's buffers.  So
+    memory is O(workers * _BLOCK * n) floats plus the n_samples penalties,
+    not O(n_samples * n).  Qm is decomposed once per call.
     """
-    check_sampling(n_samples, seed)
+    check_sampling(n_samples, seed, n_workers)
     P = sym(np.asarray(P, dtype=float))
     d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
     pa = P @ a
+    spectrum = innermax._spectrum(qm)
+    n, block, width = prior.n, innermax._BLOCK, innermax._WIDTH
+    pen = np.empty(n_samples)
 
-    def penalties(start: int, count: int) -> np.ndarray:
-        x = prior_samples(prior, seed, start, count)
-        return worst_case_penalty_batch(qm, x @ pa - fvec)
+    def penalties(start: int, stop: int) -> None:
+        # every product x P a has the workspace's rows, a multiple of
+        # ``width``, a short block padded with rows of an earlier block or
+        # zeros: a one-row product would go to a matrix-vector kernel, and a
+        # few-row one may meet other GEMM kernels, whose sums are ordered
+        # otherwise
+        rows = min(block, -(-(stop - start) // width) * width)
+        x, v = np.zeros((rows, n)), np.empty((rows, n))
+        scratch = _sampler_scratch(n, rows)
+        work = innermax._Workspace(spectrum, rows)
+        for s in range(start, stop, block):
+            b = min(block, stop - s)
+            prior_samples(prior, seed, s, b, x[:b], _scratch=scratch)
+            np.matmul(x, pa, out=v)
+            vb = v[:b]
+            vb -= fvec
+            worst_case_penalty_batch(qm, vb, pen[s : s + b], _work=work)
 
-    if n_workers <= 1:
-        pen = penalties(0, n_samples)
+    workers = min(int(n_workers), -(-n_samples // block))
+    bounds = np.linspace(0, n_samples, workers + 1).astype(int).tolist()
+    if workers == 1:
+        penalties(0, n_samples)
     else:
-        bounds = np.linspace(0, n_samples, n_workers + 1).astype(int)
-        chunks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(lambda ab: penalties(*ab), chunks))
-        pen = np.concatenate(parts)
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(penalties, bounds[:-1], bounds[1:]))
 
     mean_pen = float(np.mean(pen))
     if n_samples > 1:

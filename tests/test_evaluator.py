@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, evaluator, 
 from lqpersuasion.demo import tracking_form
 from lqpersuasion.errors import InvalidParameter, InvalidRadius, OutOfRegime
 from lqpersuasion.evaluator import _gamma_q, gaussian_samples, prior_samples
+from lqpersuasion.instance import _coefficient_terms
 from lqpersuasion.innermax import worst_case_penalty_batch
 from lqpersuasion.spectral import sym
 
@@ -102,12 +105,18 @@ def test_block_sampler_matches_per_coordinate_formula():
             got = gaussian_samples(seed, start, count, dim)
             assert got.shape == (count, dim)
             assert got.tobytes() == _reference_gaussians(seed, start, count, dim).tobytes()
+    # the sphere scales the rows in place, with the bits of a new array
     for dim in (1, 3, 30):
         count = evaluator._DRAWS // dim + 1
         g = _reference_gaussians(5, 3, count, dim)
         expect = g / np.linalg.norm(g, axis=1, keepdims=True) * math.sqrt(dim)
         got = prior_samples(PriorSpec("sphere", dim), seed=5, start=3, count=count)
         assert got.tobytes() == expect.tobytes()
+        # into a caller's buffer, with a workspace made for more rows
+        buf = np.full((count + 7, dim), np.nan)
+        scratch = evaluator._sampler_scratch(dim, count + 7)
+        out = prior_samples(PriorSpec("sphere", dim), 5, 3, count, buf[:count], _scratch=scratch)
+        assert out.base is buf and buf[:count].tobytes() == expect.tobytes()
 
 
 def test_sphere_samples_have_exact_radius():
@@ -115,28 +124,126 @@ def test_sphere_samples_have_exact_radius():
     assert np.allclose(np.linalg.norm(u, axis=1), 2.0, atol=1e-12)
 
 
+def _worker_cases():
+    """(label, qf, C, P): the tracking game at n = 3 and a random n = 30 game
+    under a rank-15 projection."""
+    rng = np.random.default_rng(13)
+    qf30, C30 = random_reduced_game(rng, 30), rng.normal(size=(30, 30))
+    u = np.linalg.qr(rng.normal(size=(30, 30)))[0][:, :15]
+    return [("n3", tracking_form(2.0, 3), np.eye(3), np.eye(3)), ("n30", qf30, C30, u @ u.T)]
+
+
+def _estimates(qf, C, prior, samples, P, workers):
+    return {
+        (e.mean, e.stderr)
+        for e in (
+            mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=w)
+            for w in workers
+        )
+    }
+
+
 def test_mc_true_cost_deterministic_across_workers():
     # the worker chunks cut the inner maximization's blocks at other rows
     # than one worker does: 2 workers take one full block and a few rows
     # each; they also start inside the sampler's blocks, of which the samples
     # fill more than one at n = 3
-    rng = np.random.default_rng(13)
-    qf30, C30 = random_reduced_game(rng, 30), rng.normal(size=(30, 30))
-    u = np.linalg.qr(rng.normal(size=(30, 30)))[0][:, :15]
-    cases = [(tracking_form(2.0, 3), np.eye(3), np.eye(3)), (qf30, C30, u @ u.T)]
     samples = 2 * innermax._BLOCK + 17
     assert evaluator._DRAWS // 3 < samples < 2 * (evaluator._DRAWS // 3)
-    for qf, C, P in cases:
+    for _, qf, C, P in _worker_cases():
         for family in ("gaussian", "sphere"):
             prior = PriorSpec(family, qf.n)
-            ests = {
-                (e.mean, e.stderr)
-                for e in (
-                    mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=w)
-                    for w in (1, 2, 3, 8)
-                )
-            }
-            assert len(ests) == 1
+            assert len(_estimates(qf, C, prior, samples, P, (1, 2, 3, 8))) == 1
+            # one sample per worker asked for (one thread runs them), and a
+            # last block of one row: on one worker, on the second of two
+            # (2 * _BLOCK + 1 samples) and on the third of three (3 * _BLOCK
+            # + 1)
+            for samples_w in (3, 5):
+                assert len(_estimates(qf, C, prior, samples_w, P, (1, samples_w))) == 1
+            for k in (1, 2, 3):
+                assert len(_estimates(qf, C, prior, k * innermax._BLOCK + 1, P, (1, 2, 3))) == 1
+
+
+def test_mc_true_cost_few_samples_match_a_long_batch():
+    # a sample's penalty does not depend on how many samples are drawn: the
+    # estimate over the first k samples is formed from the first k penalties
+    # of a long batch, bit for bit, at k = 1 too, where a one-row product
+    # x P a would go to numpy's matrix-vector kernel (whose bits differ from
+    # the long batch's at seeds 15, 17 and 30 here)
+    _, qf, C, P = _worker_cases()[1]
+    prior, P = PriorSpec("gaussian", qf.n), sym(P)
+    d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
+    for seed in range(40):
+        pen = worst_case_penalty_batch(qm, prior_samples(prior, seed, 0, 600) @ (P @ a) - fvec)
+        for k in (1, 2, 3, 600) if seed == 5 else (1,):
+            est = mc_true_cost(qf, C, prior, P, n_samples=k, seed=seed)
+            assert est.mean == float(np.sum(d * P)) + c + float(np.mean(pen[:k]))
+
+
+# (game, family, samples): float.hex of (mean, stderr) of mc_true_cost at
+# seed 5, recorded from the evaluator that sampled each worker's chunk
+# whole and solved it in one batch call; 1, 2 and 3 workers all give these
+_B = innermax._BLOCK
+_GOLDEN_ESTIMATES = {
+    ("n3", "gaussian", _B - 1): ("0x1.cc8f949d3b1f9p+2", "0x1.e79ae25a0c8c0p-7"),
+    ("n3", "gaussian", _B): ("0x1.cc8ae34eb15c6p+2", "0x1.e7a2c4bd2a06cp-7"),
+    ("n3", "gaussian", 2 * _B + 17): ("0x1.cc314a7cf80acp+2", "0x1.59b186af809fap-7"),
+    ("n3", "sphere", _B - 1): ("0x1.ddb3d742c2656p+2", "0x1.712cb47e9f6d2p-57"),
+    ("n3", "sphere", _B): ("0x1.ddb3d742c2656p+2", "0x1.71212aead4705p-57"),
+    ("n3", "sphere", 2 * _B + 17): ("0x1.ddb3d742c2656p+2", "0x1.04a4c493481e3p-57"),
+    ("n30", "gaussian", _B - 1): ("0x1.3ea9428096bf1p+14", "0x1.cae23407619fbp+3"),
+    ("n30", "gaussian", _B): ("0x1.3ea96bfefaa53p+14", "0x1.cad454d0681eap+3"),
+    ("n30", "gaussian", 2 * _B + 17): ("0x1.3edfd66c4e999p+14", "0x1.45d491ac9019fp+3"),
+    ("n30", "sphere", _B - 1): ("0x1.3ea46df7b4b69p+14", "0x1.ca1dfc8204c29p+3"),
+    ("n30", "sphere", _B): ("0x1.3ea4c8e07b70ep+14", "0x1.ca11ecb24fd89p+3"),
+    ("n30", "sphere", 2 * _B + 17): ("0x1.3ed1604510cbep+14", "0x1.44395a7ec630ap+3"),
+}
+
+
+def test_mc_true_cost_golden_bits():
+    cases = {label: rest for label, *rest in _worker_cases()}
+    for (label, family, samples), golden in _GOLDEN_ESTIMATES.items():
+        qf, C, P = cases[label]
+        ests = _estimates(qf, C, PriorSpec(family, qf.n), samples, P, (1, 2, 3))
+        assert {(m.hex(), s.hex()) for m, s in ests} == {golden}
+
+
+def test_mc_true_cost_memory_does_not_grow_with_samples():
+    # each worker streams its samples through workspaces of one block, so
+    # 60k more samples cost their 8-byte penalties and little else (sampling
+    # a worker's whole chunk at once costs 29-37 MB more here)
+    _, qf, C, P = _worker_cases()[1]
+    prior = PriorSpec("gaussian", qf.n)
+    for workers in (1, 2):
+        peaks = []
+        for samples in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                mc_true_cost(qf, C, prior, P, n_samples=samples, seed=5, n_workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 60_000 + 2**20
+
+
+def test_mc_true_cost_starts_no_more_threads_than_blocks(monkeypatch):
+    # a huge n_workers on a few samples starts one thread per block at most
+    made = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            assert max_workers <= 2
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Recording)
+    args = (tracking_form(2.0, 2), np.eye(2), PriorSpec("gaussian", 2), np.eye(2))
+    one = mc_true_cost(*args, n_samples=innermax._BLOCK + 1, seed=3)
+    assert mc_true_cost(*args, n_samples=innermax._BLOCK + 1, seed=3, n_workers=10**6) == one
+    assert made == [2]
+    assert mc_true_cost(*args, n_samples=5, seed=3, n_workers=10**6) == mc_true_cost(
+        *args, n_samples=5, seed=3)
+    assert made == [2]
 
 
 def test_mc_true_cost_matches_closed_form_full_information():
@@ -219,6 +326,11 @@ def test_mc_true_cost_rejects_bad_samples_or_seed():
                             (10, np.bool_(False)), (10.0, 1), (10.5, 1), (True, 1)):
         with pytest.raises(InvalidParameter):
             mc_true_cost(*args, n_samples=n_samples, seed=seed)
+    for n_workers in (0, -1, 2.0, 1.5, True, np.bool_(True), "2", None):
+        with pytest.raises(InvalidParameter):
+            mc_true_cost(*args, n_samples=10, seed=1, n_workers=n_workers)
+    assert mc_true_cost(*args, n_samples=10, seed=1, n_workers=np.int64(2)) == mc_true_cost(
+        *args, n_samples=10, seed=1)
     assert mc_true_cost(*args, n_samples=10, seed=2**64 - 1).seed == 2**64 - 1
     est = mc_true_cost(*args, n_samples=np.int64(10), seed=np.uint64(3))
     assert est == mc_true_cost(*args, n_samples=10, seed=3)

@@ -154,8 +154,11 @@ def test_batch_is_bitwise_independent_of_the_split():
     for qm, V in cases:
         whole = worst_case_penalty_batch(qm, V)
         for cuts in _cuts(rng, V.shape[0]):
-            parts = [worst_case_penalty_batch(qm, piece) for piece in np.split(V, cuts)]
-            assert np.array_equal(np.concatenate(parts), whole)
+            # each piece into its rows of one output array
+            out = np.full(V.shape[0], np.nan)
+            for piece, at in zip(np.split(V, cuts), np.split(np.arange(V.shape[0]), cuts)):
+                assert worst_case_penalty_batch(qm, piece, out[at[0] : at[-1] + 1]).base is out
+            assert np.array_equal(out, whole)
 
 
 def test_penalty_bounds_sandwich():
