@@ -8,10 +8,10 @@ on how many samples were produced before it; chunked/parallel evaluation is
 bit-identical to the sequential one by construction.  It fills cache-sized
 blocks of rows, all coordinates at once; ``gaussian_samples`` says why the
 bits are those of a coordinate-by-coordinate evaluation.  ``mc_true_cost``
-streams each worker's samples from the sampler to the inner maximization
-one block of ``innermax._BLOCK`` rows at a time, through workspaces the
-worker allocates once, so its memory is O(workers * _BLOCK * n) floats plus
-one penalty per sample, not O(n_samples * n).
+streams each worker's samples from the sampler to the inner maximization,
+which forms their deviations, one block of ``innermax._BLOCK`` rows at a
+time, so its memory is O(workers * _BLOCK * n) floats plus one penalty per
+sample, not O(n_samples * n).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import innermax
-from .errors import InvalidParameter, InvalidRadius, OutOfRegime
+from .errors import InvalidMatrix, InvalidParameter, InvalidRadius, OutOfRegime
 from .innermax import worst_case_penalty_batch
 from .instance import (
     EllipsoidalHypothesis,
@@ -34,7 +34,7 @@ from .instance import (
     _gamma_ratio_half,
     prior_stats,
 )
-from .spectral import sym
+from .spectral import _check_square_finite, sym
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -47,16 +47,8 @@ _STREAM = np.uint64(0xD1B54A32D192ED03)
 _DRAWS = 2**15
 
 
-def _sampler_scratch(dim: int, count: int) -> np.ndarray:
-    """The sampler's two uint64 workspaces, for calls of up to ``count`` rows
-    (see ``gaussian_samples``)."""
-    rows = min(max(1, _DRAWS // max(dim, 1)), count)
-    return np.empty((2, 2 * dim * rows), dtype=np.uint64)
-
-
 def gaussian_samples(
-    seed: int, start: int, count: int, dim: int, out: np.ndarray | None = None, *,
-    _scratch: np.ndarray | None = None,
+    seed: int, start: int, count: int, dim: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Standard-normal samples with per-sample counters start..start+count-1,
     written into ``out`` ((count, dim), a new array if None) and returned.
@@ -77,13 +69,11 @@ def gaussian_samples(
     steps are exact, and each draw meets the same elementwise IEEE operations
     in the same order ((2 pi) * u2 and -2 * log u1 included), on contiguous
     operands, so neither the block size nor the layout can change a result.
-    ``_scratch``, from ``_sampler_scratch(dim, c)`` with c >= count, holds
-    the two uint64 workspaces across calls.
     """
     if out is None:
         out = np.empty((count, dim))
-    z, t = _sampler_scratch(dim, count) if _scratch is None else _scratch
     rows = max(1, _DRAWS // max(dim, 1))
+    z, t = np.empty((2, 2 * dim * min(rows, count)), dtype=np.uint64)
     # streams 0, 2, 4, ... (the u1 of each coordinate), then 1, 3, 5, ...;
     # uint64 array arithmetic wraps silently, as the finalizer needs
     streams = np.arange(2 * dim, dtype=np.uint64).reshape(dim, 2).T.reshape(-1, 1)
@@ -115,14 +105,12 @@ def gaussian_samples(
 
 
 def prior_samples(
-    prior: PriorSpec, seed: int, start: int, count: int, out: np.ndarray | None = None, *,
-    _scratch: np.ndarray | None = None,
+    prior: PriorSpec, seed: int, start: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Samples from a named isotropic prior (counter-based, order-free),
-    written into ``out`` ((count, n), a new array if None) and returned;
-    ``_scratch`` as in ``gaussian_samples``.  The sphere scales the Gaussian
-    rows to radius sqrt(n) in place."""
-    g = gaussian_samples(seed, start, count, prior.n, out, _scratch=_scratch)
+    written into ``out`` ((count, n), a new array if None) and returned.
+    The sphere scales the Gaussian rows to radius sqrt(n) in place."""
+    g = gaussian_samples(seed, start, count, prior.n, out)
     if prior.family == "gaussian":
         return g
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -143,19 +131,19 @@ class McEstimate:
     seed: int
 
 
+def _check_int(name: str, v, lo: int = 1, hi: float = math.inf) -> None:
+    """``InvalidParameter`` unless ``v`` is an integer in [lo, hi); a bool or
+    a float is not, even an integral one."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not lo <= v < hi:
+        raise InvalidParameter(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+
+
 def check_sampling(n_samples: int, seed: int, n_workers: int = 1) -> None:
-    """``InvalidParameter`` unless all three are integers (a bool or a float
-    is not, even an integral one), n_samples >= 1, n_workers >= 1 and the
-    seed is a uint64 word of the sampler, 0 <= seed < 2^64."""
-    for name, v in (("n_samples", n_samples), ("seed", seed), ("n_workers", n_workers)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise InvalidParameter(f"{name} must be an integer, got {v!r}")
-    if not n_samples >= 1:
-        raise InvalidParameter("n_samples must be >= 1")
-    if not n_workers >= 1:
-        raise InvalidParameter("n_workers must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise InvalidParameter(f"seed must lie in [0, 2**64), got {seed}")
+    """``InvalidParameter`` unless n_samples >= 1, n_workers >= 1 and the
+    seed is a uint64 word of the sampler, 0 <= seed < 2^64, all integers."""
+    _check_int("n_samples", n_samples)
+    _check_int("n_workers", n_workers)
+    _check_int("seed", seed, 0, 2**64)
 
 
 def mc_true_cost(
@@ -173,40 +161,36 @@ def mc_true_cost(
     The Bayesian part Tr(D P) + c is exact; the adversarial penalty is the
     sample mean of the exact inner maximization at v = x P a - f_vec (see
     ``_coefficient_terms``).  Deterministic for fixed (seed, n_samples)
-    regardless of ``n_workers``; ``check_sampling`` bounds the arguments.
+    regardless of ``n_workers``; ``check_sampling`` bounds the arguments,
+    and a prior of another dimension than the game's (``InvalidParameter``)
+    or a P that is not a finite n x n matrix (``InvalidMatrix``) is refused.
 
     The samples are split evenly over min(n_workers, blocks) threads, where
-    blocks = ceil(n_samples / ``innermax._BLOCK``).  Each thread streams its
-    rows through workspaces it allocates once: a block of samples, its
-    deviations v, the sampler's and the inner maximization's buffers.  So
-    memory is O(workers * _BLOCK * n) floats plus the n_samples penalties,
-    not O(n_samples * n).  Qm is decomposed once per call.
+    blocks = ceil(n_samples / ``innermax._BLOCK``).  Each thread allocates
+    a block of samples and an inner-maximization workspace once, the latter
+    with the affine map (P a, f_vec) that forms v inside it.  So memory is
+    O(workers * _BLOCK * n) floats plus the n_samples penalties, not
+    O(n_samples * n).  Qm is decomposed once per call.
     """
     check_sampling(n_samples, seed, n_workers)
-    P = sym(np.asarray(P, dtype=float))
+    if prior.n != qf.n:
+        raise InvalidParameter(f"prior dimension {prior.n} differs from the game's {qf.n}")
+    P = sym(_check_square_finite(P))
+    if len(P) != qf.n:
+        raise InvalidMatrix(f"policy P is {len(P)} x {len(P)}, the game's n is {qf.n}")
     d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
-    pa = P @ a
+    affine = (P @ a, fvec)
     spectrum = innermax._spectrum(qm)
-    n, block, width = prior.n, innermax._BLOCK, innermax._WIDTH
+    block = innermax._BLOCK
     pen = np.empty(n_samples)
 
     def penalties(start: int, stop: int) -> None:
-        # every product x P a has the workspace's rows, a multiple of
-        # ``width``, a short block padded with rows of an earlier block or
-        # zeros: a one-row product would go to a matrix-vector kernel, and a
-        # few-row one may meet other GEMM kernels, whose sums are ordered
-        # otherwise
-        rows = min(block, -(-(stop - start) // width) * width)
-        x, v = np.zeros((rows, n)), np.empty((rows, n))
-        scratch = _sampler_scratch(n, rows)
-        work = innermax._Workspace(spectrum, rows)
+        x = np.empty((min(block, stop - start), qf.n))
+        work = innermax._Workspace(spectrum, x.shape[0], affine)
         for s in range(start, stop, block):
             b = min(block, stop - s)
-            prior_samples(prior, seed, s, b, x[:b], _scratch=scratch)
-            np.matmul(x, pa, out=v)
-            vb = v[:b]
-            vb -= fvec
-            worst_case_penalty_batch(qm, vb, pen[s : s + b], _work=work)
+            prior_samples(prior, seed, s, b, x[:b])
+            worst_case_penalty_batch(qm, x[:b], pen[s : s + b], _work=work)
 
     workers = min(int(n_workers), -(-n_samples // block))
     bounds = np.linspace(0, n_samples, workers + 1).astype(int).tolist()
@@ -216,12 +200,8 @@ def mc_true_cost(
         with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(penalties, bounds[:-1], bounds[1:]))
 
-    mean_pen = float(np.mean(pen))
-    if n_samples > 1:
-        stderr = float(np.std(pen, ddof=1) / math.sqrt(n_samples))
-    else:
-        stderr = 0.0
-    value = float(np.sum(d * P)) + c + mean_pen
+    stderr = float(np.std(pen, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    value = float(np.sum(d * P)) + c + float(np.mean(pen))
     return McEstimate(mean=value, stderr=stderr, n_samples=int(n_samples), seed=int(seed))
 
 
@@ -349,9 +329,11 @@ def _gamma_q(a: float, x: float) -> float:
     exp(-stirlerr(b) - bd0(b, x)) / sqrt(2 pi b), whose parts do not cancel
     (C. Loader, "Fast and accurate computation of binomial probabilities",
     2000).  There every term has b > 300: a downward sum from a >= 500 has
-    met its bound long before."""
+    met its bound long before.  Q(a, inf) = 0."""
     if x <= 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     up, r, saddle = x < a, a % 1.0 or 1.0, a >= 500.0
     s, b = 0.0, a if up else a - 1.0
     while up or b >= r:
@@ -376,10 +358,14 @@ def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
     tail moments in closed form:
     T_m(R) = E[||x||^m 1{||x|| >= R}] = 2^(m/2) Q((n+m)/2, R^2/2) Gamma((n+m)/2) / Gamma(n/2),
     Q from ``_gamma_q``; the Gamma ratio is ``_gamma_ratio_half(n)`` for m = 1
-    and exactly n/2 for m = 2.
-    """
-    if R < 0.0:
-        raise InvalidRadius("threshold radius must be nonnegative")
+    and exactly n/2 for m = 2.  R = inf reveals nothing (k^2 n + eps^2); a
+    negative or nan R, an n < 1 or a non-integer one, or a non-finite k or
+    eps is refused."""
+    if not R >= 0.0:
+        raise InvalidRadius(f"threshold radius must be nonnegative, got {R!r}")
+    _check_int("n", n)
+    if not math.isfinite(k) or not math.isfinite(eps):
+        raise InvalidParameter(f"k and eps must be finite, got {k!r} and {eps!r}")
     gap = abs(1.0 - k)
     x = R * R / 2.0
     t1 = math.sqrt(2.0) * _gamma_q((n + 1) / 2.0, x) * _gamma_ratio_half(n)
@@ -390,6 +376,7 @@ def radius_threshold_cost(k: float, n: int, eps: float, R: float) -> float:
 def radius_scan(
     k: float, n: int, eps: float, r_lo: float, r_hi: float, steps: int
 ) -> list[tuple[float, float]]:
-    """Cost of the radius-threshold policy on a radius grid."""
+    """Cost of the radius-threshold policy on a grid of ``steps`` >= 1 radii."""
+    _check_int("steps", steps)
     rs = np.linspace(r_lo, r_hi, steps)
     return [(float(r), radius_threshold_cost(k, n, eps, float(r))) for r in rs]

@@ -19,12 +19,13 @@ sit at the boundary lam -> lambda_max and is evaluated analytically.
 Many vectors v share one Qm in the Monte-Carlo evaluator:
 ``worst_case_penalty_batch`` decomposes Qm once and solves the vectors in
 blocks of ``_BLOCK`` rows, one column per vector, all of them in one
-``_Workspace`` allocated per call (the evaluator keeps one per worker
-across its calls), so the memory is O(min(rows, _BLOCK) * n) floats
-however many rows there are.  A block compacts its (rest x rows) arrays
-into the workspace with ``np.take``, not boolean or fancy indexing: the
-copy is the same, but ``take`` is faster and releases the GIL, so the
-Monte-Carlo evaluator's worker threads overlap there.
+``_Workspace`` allocated per call (the evaluator keeps one per worker, whose
+affine map forms each v = x A - f from its sample x inside the blocks), so
+the memory is O(min(rows, _BLOCK) * n) floats however many rows there are.
+A block compacts its (rest x rows) arrays into the workspace with
+``np.take``, not boolean or fancy indexing: the copy is the same, but
+``take`` is faster and releases the GIL, so the Monte-Carlo evaluator's
+worker threads overlap there.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalFailure
+from .errors import InvalidMatrix, InvalidParameter, NumericalFailure
 from .spectral import eig_sym, sym
 
 
@@ -46,11 +47,13 @@ class InnerMaxProblem:
     v: np.ndarray
 
     def __post_init__(self):
-        qm = sym(self.Qm)
+        qm = np.asarray(self.Qm, dtype=float)
         v = np.asarray(self.v, dtype=float).reshape(-1)
         if qm.shape[0] != v.shape[0]:
             raise InvalidParameter("Qm and v dimensions differ")
-        object.__setattr__(self, "Qm", qm)
+        if not (np.isfinite(qm).all() and np.isfinite(v).all()):
+            raise InvalidMatrix("Qm and v must be finite")
+        object.__setattr__(self, "Qm", sym(qm))
         object.__setattr__(self, "v", v)
 
 
@@ -95,20 +98,21 @@ def _spectrum(Qm: np.ndarray) -> _Spectrum:
 class _Workspace:
     """Buffers for blocks of up to ``rows`` vectors of one spectrum: W, two
     compaction targets, the two Newton temporaries, three column sums and
-    ``_in_eigenbasis``'s padded piece and product.  The 2-D buffers are
-    flat, and a block views their heads at its own shape, C-contiguous, so
-    that ``np.take`` writes its output in place instead of through a copy.
-    A workspace is made per call (per worker in the Monte-Carlo evaluator)
-    and carries nothing from one block to the next."""
+    ``_in_eigenbasis``'s padded piece, its image under ``affine`` (an
+    (n x n) A and an n-vector f, see there) and product.  The 2-D buffers
+    are flat, and a block views their heads at its own shape, C-contiguous,
+    so that ``np.take`` writes its output in place instead of through a
+    copy.  A workspace is made per call (per worker in the Monte-Carlo
+    evaluator) and carries nothing from one block to the next."""
 
-    def __init__(self, spectrum: _Spectrum, rows: int):
+    def __init__(self, spectrum: _Spectrum, rows: int, affine: tuple | None = None):
         n = spectrum.vecs.shape[0]
         rest = n - spectrum.top
-        self.spectrum = spectrum
+        self.spectrum, self.affine = spectrum, affine
         self.w = np.empty(n * rows)
         self.a, self.b, self.inv, self.p2 = np.empty((4, rest * rows))
         self.sums = np.empty((3, rows))
-        self.pad = np.zeros((_WIDTH, n))
+        self.pad, self.v = np.zeros((2, _WIDTH, n))
         self.prod = np.empty((n, _WIDTH))
 
 
@@ -134,10 +138,12 @@ def worst_case_penalty_batch(
     (see the module docstring) and leaves the iteration once its step no
     longer moves x forward at float resolution.  Every block reuses one
     workspace, so the call allocates O(min(rows, _BLOCK) * n) floats of
-    (rest x rows) arrays however many rows there are; ``_work``, a
-    ``_Workspace`` of Qm's ``_spectrum`` with at least min(rows, _BLOCK)
-    rows, replaces both the decomposition and the workspace (Qm is then
-    read for its size only).
+    (rest x rows) arrays however many rows there are; a non-finite V or Qm
+    raises ``InvalidMatrix``.  ``_work``, a ``_Workspace`` of Qm's
+    ``_spectrum`` with at least min(rows, _BLOCK) rows, replaces both the
+    decomposition and the workspace (Qm is then read for its size only,
+    and V is not checked); with an affine map (A, f) the rows are states x,
+    solved as the vectors x A - f.
 
     Every operation combines entries of one column only, in an order that
     does not depend on how many columns there are (W itself included, see
@@ -151,6 +157,8 @@ def worst_case_penalty_batch(
     if n == 0:
         out[:] = 0.0
         return out
+    if _work is None and not np.isfinite(V).all():
+        raise InvalidMatrix("V has non-finite entries")
     work = _work if _work is not None else _Workspace(_spectrum(Qm), min(m, _BLOCK))
     # a caller's workspace stands in for Qm: it must have been made for it
     assert work.spectrum.vecs.shape[0] == n == len(Qm) and work.sums.shape[1] >= min(m, _BLOCK)
@@ -164,13 +172,14 @@ def worst_case_penalty_batch(
 
 
 def _in_eigenbasis(work: _Workspace, rows: np.ndarray) -> np.ndarray:
-    """W = vecs^T rows^T, one column per row, in the workspace.
+    """W = vecs^T v^T in the workspace, one column per row: v = rows, or
+    rows A - f with the workspace's affine map (A, f).
 
     A BLAS may order a product's sums by the product's shape (numpy even
-    hands a one-column product to a matrix-vector kernel), so every product
-    here has ``_WIDTH`` columns, the last padded with zero rows.  At one
-    shape OpenBLAS gives a column the same entries wherever it sits, so W's
-    columns do not depend on how the rows are split.
+    hands a product of one row or column to a matrix-vector kernel), so
+    every product here spans ``_WIDTH`` rows, the last piece padded with
+    zero rows.  At one shape OpenBLAS gives a row the same entries wherever
+    it sits, so W's columns do not depend on how the rows are split.
     """
     m, n = rows.shape
     W = _view(work.w, n, m)
@@ -182,6 +191,9 @@ def _in_eigenbasis(work: _Workspace, rows: np.ndarray) -> np.ndarray:
             work.pad[:k] = piece
             work.pad[k:] = 0.0
             piece = work.pad
+        if work.affine is not None:
+            piece = np.matmul(piece, work.affine[0], out=work.v)
+            piece -= work.affine[1]
         np.matmul(vt, piece.T, out=work.prod)
         W[:, j : j + k] = work.prod[:, :k]
     return W

@@ -21,7 +21,7 @@ from lqpersuasion import (
 from conftest import random_reduced_game
 from lqpersuasion import EllipsoidalHypothesis, derive_coefficients, evaluator, innermax, programs
 from lqpersuasion.demo import tracking_form
-from lqpersuasion.errors import InvalidParameter, InvalidRadius, OutOfRegime
+from lqpersuasion.errors import InvalidMatrix, InvalidParameter, InvalidRadius, OutOfRegime
 from lqpersuasion.evaluator import _gamma_q, gaussian_samples, prior_samples
 from lqpersuasion.instance import _coefficient_terms
 from lqpersuasion.innermax import worst_case_penalty_batch
@@ -112,10 +112,9 @@ def test_block_sampler_matches_per_coordinate_formula():
         expect = g / np.linalg.norm(g, axis=1, keepdims=True) * math.sqrt(dim)
         got = prior_samples(PriorSpec("sphere", dim), seed=5, start=3, count=count)
         assert got.tobytes() == expect.tobytes()
-        # into a caller's buffer, with a workspace made for more rows
+        # into a caller's buffer
         buf = np.full((count + 7, dim), np.nan)
-        scratch = evaluator._sampler_scratch(dim, count + 7)
-        out = prior_samples(PriorSpec("sphere", dim), 5, 3, count, buf[:count], _scratch=scratch)
+        out = prior_samples(PriorSpec("sphere", dim), 5, 3, count, buf[:count])
         assert out.base is buf and buf[:count].tobytes() == expect.tobytes()
 
 
@@ -162,6 +161,13 @@ def test_mc_true_cost_deterministic_across_workers():
                 assert len(_estimates(qf, C, prior, samples_w, P, (1, samples_w))) == 1
             for k in (1, 2, 3):
                 assert len(_estimates(qf, C, prior, k * innermax._BLOCK + 1, P, (1, 2, 3))) == 1
+    # a random n = 100 game, the widest affine map and eigenbasis products,
+    # on one worker and on two
+    rng = np.random.default_rng(14)
+    qf, C = random_reduced_game(rng, 100), rng.normal(size=(100, 100))
+    u = np.linalg.qr(rng.normal(size=(100, 100)))[0][:, :40]
+    for family in ("gaussian", "sphere"):
+        assert len(_estimates(qf, C, PriorSpec(family, 100), samples, u @ u.T, (1, 2))) == 1
 
 
 def test_mc_true_cost_few_samples_match_a_long_batch():
@@ -337,6 +343,29 @@ def test_mc_true_cost_rejects_bad_samples_or_seed():
     assert type(est.n_samples) is int and type(est.seed) is int
 
 
+_BAD_MC_INPUTS = {
+    "nan P": ("P", np.full((2, 2), np.nan), InvalidMatrix),
+    "inf P": ("P", np.diag([np.inf, 1.0]), InvalidMatrix),
+    "P of the wrong shape": ("P", np.eye(3), InvalidMatrix),
+    "prior of another dimension": ("prior", PriorSpec("gaussian", 3), InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MC_INPUTS))
+def test_mc_true_cost_rejects_bad_inputs_before_sampling(case, monkeypatch):
+    # a non-finite P used to give a nan estimate, and a P or prior of the
+    # wrong dimension an untyped ValueError from inside a matrix product
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the inputs")
+
+    monkeypatch.setattr(evaluator, "prior_samples", no_sampling)
+    args = {"qf": tracking_form(2.0, 2), "C": np.eye(2), "prior": PriorSpec("gaussian", 2),
+            "P": np.eye(2), "n_samples": 10, "seed": 1}
+    name, value, error = _BAD_MC_INPUTS[case]
+    with pytest.raises(error):
+        mc_true_cost(**{**args, name: value})
+
+
 # --------------------------------------------------------------------------
 # scalar closed forms
 # --------------------------------------------------------------------------
@@ -493,6 +522,43 @@ def test_radius_cost_limits():
     assert radius_threshold_cost(k, n, eps, 50.0) == pytest.approx(tab["abp_ni"], rel=1e-9)
     with pytest.raises(InvalidRadius):
         radius_threshold_cost(k, n, eps, -1.0)
+
+
+def test_radius_cost_at_infinite_radius_is_the_no_information_value():
+    # Q(a, inf) = 0, so both tail moments vanish and nothing is revealed
+    for k, n, eps in ((2.0, 3, 1.0), (0.75, 1, 0.0), (3.0, 10**6, 2.5)):
+        assert radius_threshold_cost(k, n, eps, math.inf) == k * k * n + eps * eps
+    assert radius_threshold_cost(2.0, 3, 1.0, math.inf) == opening_table(2.0, 3, 1.0)["abp_ni"]
+
+
+_BAD_RADIUS_INPUTS = {
+    "nan R": ((2.0, 3, 1.0, math.nan), InvalidRadius),
+    "nan k": ((math.nan, 3, 1.0, 1.0), InvalidParameter),
+    "inf k": ((math.inf, 3, 1.0, 1.0), InvalidParameter),
+    "nan eps": ((2.0, 3, math.nan, 1.0), InvalidParameter),
+    "inf eps": ((2.0, 3, -math.inf, 1.0), InvalidParameter),
+    "n = 0": ((2.0, 0, 1.0, 1.0), InvalidParameter),
+    "n = -3": ((2.0, -3, 1.0, 1.0), InvalidParameter),
+    "n = 2.5": ((2.0, 2.5, 1.0, 1.0), InvalidParameter),
+    "n = 3.0": ((2.0, 3.0, 1.0, 1.0), InvalidParameter),
+    "n = True": ((2.0, True, 1.0, 1.0), InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RADIUS_INPUTS))
+def test_radius_cost_rejects_degenerate_inputs(case):
+    # each used to return nan, raise a bare math domain error, or (n = 2.5)
+    # compute a value for a dimension that does not exist
+    args, error = _BAD_RADIUS_INPUTS[case]
+    with pytest.raises(error):
+        radius_threshold_cost(*args)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.0])
+def test_radius_scan_rejects_bad_steps(steps):
+    with pytest.raises(InvalidParameter):
+        radius_scan(2.0, 3, 1.0, 0.0, 1.0, steps)
+    assert len(radius_scan(2.0, 3, 1.0, 0.0, 1.0, 1)) == 1
 
 
 def test_radius_cost_exact_second_moment_at_large_n():

@@ -12,7 +12,7 @@ from lqpersuasion import (
     worst_case_penalty_batch,
 )
 from lqpersuasion import innermax
-from lqpersuasion.errors import InvalidParameter, NumericalFailure
+from lqpersuasion.errors import InvalidMatrix, InvalidParameter, NumericalFailure
 
 
 def test_scaled_identity_closed_form():
@@ -159,6 +159,43 @@ def test_batch_is_bitwise_independent_of_the_split():
             for piece, at in zip(np.split(V, cuts), np.split(np.arange(V.shape[0]), cuts)):
                 assert worst_case_penalty_batch(qm, piece, out[at[0] : at[-1] + 1]).base is out
             assert np.array_equal(out, whole)
+
+
+def test_affine_workspace_matches_deviations_formed_first():
+    # a workspace with an affine map (A, f) solves its rows x as the vectors
+    # x A - f, formed piece by piece inside the blocks: bit for bit the plain
+    # call on V = X A - f formed whole, at row counts around the product
+    # width and past two blocks
+    rng = np.random.default_rng(27)
+    block, width = innermax._BLOCK, innermax._WIDTH
+    rows = (1, width - 1, width, width + 1, 2 * block + 17)
+    for n in (1, 3, 30, 100):
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        top = min(2, n)  # a repeated top eigenvalue, when n allows one
+        qm = (q * np.r_[[4.0] * top, rng.uniform(0.0, 3.0, size=n - top)]) @ q.T
+        A, f = rng.normal(size=(n, n)), rng.normal(size=n)
+        X = rng.normal(size=(rows[-1], n))
+        V = X @ A - f
+        for m in rows:
+            work = innermax._Workspace(innermax._spectrum(qm), min(m, block), (A, f))
+            got = worst_case_penalty_batch(qm, X[:m], _work=work)
+            assert got.tobytes() == worst_case_penalty_batch(qm, V[:m]).tobytes()
+
+
+def test_non_finite_input_rejected():
+    qm = np.diag([2.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        V = np.ones((3, 2))
+        V[1, 0] = bad
+        with pytest.raises(InvalidMatrix):
+            worst_case_penalty_batch(qm, V)
+        with pytest.raises(InvalidMatrix):
+            InnerMaxProblem(qm, V[1])
+        with pytest.raises(InvalidMatrix):
+            worst_case_penalty_batch(np.diag([bad, 1.0]), np.ones((3, 2)))
+    # checked before symmetrizing, where inf - inf would turn into nan
+    with pytest.raises(InvalidMatrix):
+        InnerMaxProblem(np.array([[1.0, np.inf], [-np.inf, 1.0]]), np.zeros(2))
 
 
 def test_penalty_bounds_sandwich():
