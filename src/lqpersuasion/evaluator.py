@@ -9,9 +9,9 @@ bit-identical to the sequential one by construction.  It fills cache-sized
 blocks of rows, all coordinates at once; ``gaussian_samples`` says why the
 bits are those of a coordinate-by-coordinate evaluation.  ``mc_true_cost``
 streams each worker's samples from the sampler to the inner maximization,
-which forms their deviations, one block of ``innermax._BLOCK`` rows at a
-time, so its memory is O(workers * _BLOCK * n) floats plus one penalty per
-sample, not O(n_samples * n).
+which forms their deviations, one block of ``innermax._block_rows(n)`` rows
+at a time, so its memory is O(workers * max(_FLOATS, 1024 n)) floats plus
+one penalty per sample, not O(n_samples * n).
 """
 
 from __future__ import annotations
@@ -163,25 +163,32 @@ def mc_true_cost(
     ``_coefficient_terms``).  Deterministic for fixed (seed, n_samples)
     regardless of ``n_workers``; ``check_sampling`` bounds the arguments,
     and a prior of another dimension than the game's (``InvalidParameter``)
-    or a P that is not a finite n x n matrix (``InvalidMatrix``) is refused.
+    or a P that is not a finite n x n matrix, or whose sym(P), P a or
+    Tr(D P) overflows (``InvalidMatrix``), is refused before any sample is
+    drawn.
 
     The samples are split evenly over min(n_workers, blocks) threads, where
-    blocks = ceil(n_samples / ``innermax._BLOCK``).  Each thread allocates
-    a block of samples and an inner-maximization workspace once, the latter
-    with the affine map (P a, f_vec) that forms v inside it.  So memory is
-    O(workers * _BLOCK * n) floats plus the n_samples penalties, not
-    O(n_samples * n).  Qm is decomposed once per call.
+    blocks = ceil(n_samples / ``innermax._block_rows(n)``).  Each thread
+    allocates a block of samples and an inner-maximization workspace once,
+    the latter with the affine map (P a, f_vec) that forms v inside it.  So
+    memory is O(workers * max(innermax._FLOATS, 1024 n)) floats plus the
+    n_samples penalties, not O(n_samples * n).  Qm is decomposed once per call.
     """
     check_sampling(n_samples, seed, n_workers)
     if prior.n != qf.n:
         raise InvalidParameter(f"prior dimension {prior.n} differs from the game's {qf.n}")
-    P = sym(_check_square_finite(P))
+    P = _check_square_finite(P)
     if len(P) != qf.n:
         raise InvalidMatrix(f"policy P is {len(P)} x {len(P)}, the game's n is {qf.n}")
     d, c, a, qm, fvec = _coefficient_terms(qf, EllipsoidalHypothesis(C))
-    affine = (P @ a, fvec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = sym(P)
+        affine, bayes = (P @ a, fvec), float(np.sum(d * P))
+    # an infinite entry of sym(P) makes d * P, hence Tr(D P), non-finite too
+    if not (np.isfinite(affine[0]).all() and math.isfinite(bayes)):
+        raise InvalidMatrix("policy P overflows: sym(P), P a or Tr(D P) is not finite")
     spectrum = innermax._spectrum(qm)
-    block = innermax._BLOCK
+    block = innermax._block_rows(qf.n)
     pen = np.empty(n_samples)
 
     def penalties(start: int, stop: int) -> None:
@@ -201,7 +208,7 @@ def mc_true_cost(
             list(ex.map(penalties, bounds[:-1], bounds[1:]))
 
     stderr = float(np.std(pen, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    value = float(np.sum(d * P)) + c + float(np.mean(pen))
+    value = bayes + c + float(np.mean(pen))
     return McEstimate(mean=value, stderr=stderr, n_samples=int(n_samples), seed=int(seed))
 
 

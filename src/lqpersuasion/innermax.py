@@ -18,10 +18,11 @@ sit at the boundary lam -> lambda_max and is evaluated analytically.
 
 Many vectors v share one Qm in the Monte-Carlo evaluator:
 ``worst_case_penalty_batch`` decomposes Qm once and solves the vectors in
-blocks of ``_BLOCK`` rows, one column per vector, all of them in one
-``_Workspace`` allocated per call (the evaluator keeps one per worker, whose
-affine map forms each v = x A - f from its sample x inside the blocks), so
-the memory is O(min(rows, _BLOCK) * n) floats however many rows there are.
+blocks of ``_block_rows(n)`` rows, about ``_FLOATS // n``, one column per
+vector, all of them in one ``_Workspace`` allocated per call (the evaluator
+keeps one per worker, whose affine map forms each v = x A - f from its sample
+x inside the blocks), so the memory is O(_FLOATS) floats up to n = 64 (and
+1024 n beyond) however many rows there are.
 A block compacts its (rest x rows) arrays into the workspace with
 ``np.take``, not boolean or fancy indexing: the copy is the same, but
 ``take`` is faster and releases the GIL, so the Monte-Carlo evaluator's
@@ -62,13 +63,14 @@ class InnerMaxProblem:
 # and at n=30) at seeds 0-31, no row needs more than 12 at n=3 or 8 at n=30
 _MAX_NEWTON = 100
 
-# rows per block, a multiple of _WIDTH: each 1-D quantity of a block takes
-# 64 KB and each (rest x rows) array 1.9 MB at n = 30, so the two that a
-# Newton step sweeps outgrow a 2 MB L2 and live in L3.  On a 2-vCPU Xeon VM
-# (2 MB L2 per core), 100k samples of a random n = 30 game on two workers
-# took 159 ms at 8192 rows and 157 ms at 16384, but 181 ms at 4096 and
-# 212 ms at 2048: fewer rows pay more per-block Python overhead
-_BLOCK = 8192
+# floats per (rest x rows) array of a block (see _block_rows), 512 KB.  A
+# smaller block pays more per-block Python overhead, which two worker threads
+# pay in turn under the GIL: on a 2-vCPU Xeon VM, 100k samples of a random
+# n = 30 game on two workers took 160, 148 and 142 ms (medians) at 2048, 4096
+# and 8192 rows, and at n = 100 623, 549 and 549 ms at 512, 1024 and 8192
+# rows, hence at least 2 * _WIDTH rows.  A worker's tracemalloc peak is then
+# 5.8, 5.1 and 8.2 MB at n = 3, 30 and 100 (8192-row blocks: 2.8, 13.5, 41 MB)
+_FLOATS = 2**16
 
 # columns of every product forming W (see _in_eigenbasis): one shape for all
 # of them, small enough that a short batch pays little for its padding
@@ -116,6 +118,11 @@ class _Workspace:
         self.prod = np.empty((n, _WIDTH))
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block: ``_FLOATS // n`` down to a multiple of ``_WIDTH``, >= 2 ``_WIDTH``."""
+    return max(2 * _WIDTH, _FLOATS // n // _WIDTH * _WIDTH)
+
+
 def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
@@ -132,18 +139,18 @@ def worst_case_penalty_batch(
     into ``out`` (a new array if None) and returned.
 
     One eigendecomposition of Qm serves every row.  The rows are then solved
-    in blocks of ``_BLOCK``, each in column layout: W = vecs^T V[block]^T has
-    one column per row, so a sum over eigen-coordinates adds contiguous
-    vectors.  Each row runs safeguarded Newton on its own secular equation
-    (see the module docstring) and leaves the iteration once its step no
-    longer moves x forward at float resolution.  Every block reuses one
-    workspace, so the call allocates O(min(rows, _BLOCK) * n) floats of
-    (rest x rows) arrays however many rows there are; a non-finite V or Qm
-    raises ``InvalidMatrix``.  ``_work``, a ``_Workspace`` of Qm's
-    ``_spectrum`` with at least min(rows, _BLOCK) rows, replaces both the
-    decomposition and the workspace (Qm is then read for its size only,
-    and V is not checked); with an affine map (A, f) the rows are states x,
-    solved as the vectors x A - f.
+    in blocks of ``_block_rows(n)``, each in column layout: W = vecs^T
+    V[block]^T has one column per row, so a sum over eigen-coordinates adds
+    contiguous vectors.  Each row runs safeguarded Newton on its own
+    secular equation (see the module docstring) and leaves the iteration
+    once its step no longer moves x forward at float resolution.  Every
+    block reuses one workspace, so the call allocates O(max(_FLOATS,
+    1024 n)) floats of (rest x rows) arrays however many rows there are; a
+    non-finite V or Qm raises ``InvalidMatrix``.  ``_work``, a
+    ``_Workspace`` of Qm's ``_spectrum`` with at least min(rows,
+    _block_rows(n)) rows, replaces both the decomposition and the workspace
+    (Qm is then read for its size only, and V is not checked); with an
+    affine map (A, f) the rows are states x, solved as the vectors x A - f.
 
     Every operation combines entries of one column only, in an order that
     does not depend on how many columns there are (W itself included, see
@@ -159,13 +166,14 @@ def worst_case_penalty_batch(
         return out
     if _work is None and not np.isfinite(V).all():
         raise InvalidMatrix("V has non-finite entries")
-    work = _work if _work is not None else _Workspace(_spectrum(Qm), min(m, _BLOCK))
+    block = _block_rows(n)
+    work = _work if _work is not None else _Workspace(_spectrum(Qm), min(m, block))
     # a caller's workspace stands in for Qm: it must have been made for it
-    assert work.spectrum.vecs.shape[0] == n == len(Qm) and work.sums.shape[1] >= min(m, _BLOCK)
+    assert work.spectrum.vecs.shape[0] == n == len(Qm) and work.sums.shape[1] >= min(m, block)
     stuck = 0
-    for s in range(0, m, _BLOCK):
-        W = _in_eigenbasis(work, V[s : s + _BLOCK])
-        stuck += _solve_block(W, work, out[s : s + _BLOCK])
+    for s in range(0, m, block):
+        W = _in_eigenbasis(work, V[s : s + block])
+        stuck += _solve_block(W, work, out[s : s + block])
     if stuck:
         raise NumericalFailure(f"inner-max Newton did not converge on {stuck} of {m} rows")
     return out
@@ -200,10 +208,13 @@ def _in_eigenbasis(work: _Workspace, rows: np.ndarray) -> np.ndarray:
 
 
 def _col_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum over the rows of ``a`` into ``out``, one row after another.
-    numpy's own reduction turns pairwise once a single column is left,
-    which would make a row's value depend on how many rows share its
-    block."""
+    """Sum over the rows of C-contiguous ``a`` into ``out``, one row after
+    another, so that a column's sum does not depend on how many columns
+    share its block.  numpy reduces a C-contiguous array over its slow axis
+    in that order, but sums pairwise along a fast one, which a single
+    column is: that case alone adds row by row in Python."""
+    if a.shape[1] > 1:
+        return np.add.reduce(a, axis=0, out=out, initial=0.0)
     out.fill(0.0)
     for row in a:
         out += row
@@ -257,6 +268,7 @@ def _solve_block(W: np.ndarray, work: _Workspace, out: np.ndarray) -> int:
     # psi(x) <= 0 at the start: ||(x - Qm + lmax)^{-1} w|| >= 2 at half the
     # top mass, and d0 < 0 at x = 0 when there is none; psi(||v||) >= 0
     x = 0.5 * np.sqrt(wt)
+    all_top = bool((wt > 0.0).all())
     # the rows still stepping, compacted once some stop: where their x
     # lives, x itself, top mass, bracket end and rest columns
     pos, xa, wa, ha, ra = np.arange(idx.size), x, wt, hi, rsq
@@ -271,14 +283,23 @@ def _solve_block(W: np.ndarray, work: _Workspace, out: np.ndarray) -> int:
         inv *= p2
         q2 = _col_sum(inv, s0[: pos.size])
         p2 = _col_sum(p2, s1[: pos.size])
-        xt = np.where(wa > 0.0, xa, 1.0)  # only a row with no top mass sits at 0
-        p2 += wa / (xt * xt)
-        q2 += wa / (xt * xt * xt)
+        # only a row with no top mass sits at 0
+        xt = xa if all_top else np.where(wa > 0.0, xa, 1.0)
+        t = xt * xt
+        p2 += wa / t
+        t *= xt
+        q2 += wa / t
         # Newton on psi = 1/||p|| - 1 with ||p||^2 = p2, psi' = ||q||^2/||p||^3
-        nxt = xa + p2 * (np.sqrt(p2) - 1.0) / q2
+        nxt = np.sqrt(p2, out=t)
+        nxt -= 1.0
+        nxt *= p2
+        nxt /= q2
+        nxt += xa
         # bisect a step that would leave the bracket [x, hi]; a step that does
         # not move x forward means psi(x) >= 0 at float resolution: converged
-        nxt = np.where(nxt < ha, nxt, 0.5 * (xa + ha))
+        inside = nxt < ha
+        if not inside.all():
+            nxt = np.where(inside, nxt, 0.5 * (xa + ha))
         moving = nxt > xa
         if moving.all():
             xa = nxt

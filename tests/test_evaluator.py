@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -143,29 +144,32 @@ def _estimates(qf, C, prior, samples, P, workers):
 
 
 def test_mc_true_cost_deterministic_across_workers():
-    # the worker chunks cut the inner maximization's blocks at other rows
-    # than one worker does: 2 workers take one full block and a few rows
-    # each; they also start inside the sampler's blocks, of which the samples
-    # fill more than one at n = 3
-    samples = 2 * innermax._BLOCK + 17
-    assert evaluator._DRAWS // 3 < samples < 2 * (evaluator._DRAWS // 3)
+    # the worker chunks cut the inner maximization's blocks of n-vectors at
+    # other rows than one worker does: 2 workers take one full block and a
+    # few rows each; at n = 3 they also cut the sampler's blocks, of which
+    # an inner block fills more than one
     for _, qf, C, P in _worker_cases():
+        block = innermax._block_rows(qf.n)
+        samples = 2 * block + 17
+        if qf.n == 3:
+            assert evaluator._DRAWS // 3 < block < 2 * (evaluator._DRAWS // 3)
         for family in ("gaussian", "sphere"):
             prior = PriorSpec(family, qf.n)
             assert len(_estimates(qf, C, prior, samples, P, (1, 2, 3, 8))) == 1
             # one sample per worker asked for (one thread runs them), and a
             # last block of one row: on one worker, on the second of two
-            # (2 * _BLOCK + 1 samples) and on the third of three (3 * _BLOCK
+            # (2 * block + 1 samples) and on the third of three (3 * block
             # + 1)
             for samples_w in (3, 5):
                 assert len(_estimates(qf, C, prior, samples_w, P, (1, samples_w))) == 1
             for k in (1, 2, 3):
-                assert len(_estimates(qf, C, prior, k * innermax._BLOCK + 1, P, (1, 2, 3))) == 1
+                assert len(_estimates(qf, C, prior, k * block + 1, P, (1, 2, 3))) == 1
     # a random n = 100 game, the widest affine map and eigenbasis products,
     # on one worker and on two
     rng = np.random.default_rng(14)
     qf, C = random_reduced_game(rng, 100), rng.normal(size=(100, 100))
     u = np.linalg.qr(rng.normal(size=(100, 100)))[0][:, :40]
+    samples = 2 * innermax._block_rows(100) + 17
     for family in ("gaussian", "sphere"):
         assert len(_estimates(qf, C, PriorSpec(family, 100), samples, u @ u.T, (1, 2))) == 1
 
@@ -188,8 +192,12 @@ def test_mc_true_cost_few_samples_match_a_long_batch():
 
 # (game, family, samples): float.hex of (mean, stderr) of mc_true_cost at
 # seed 5, recorded from the evaluator that sampled each worker's chunk
-# whole and solved it in one batch call; 1, 2 and 3 workers all give these
-_B = innermax._BLOCK
+# whole and solved it in one batch call; 1, 2 and 3 workers all give these.
+# The counts sit around 8192 rows, where blocks once ended for every n: n = 3
+# takes them in one block of innermax._block_rows(3) rows, n = 30 in 4, 4 and
+# 9 blocks of innermax._block_rows(30), the last one short by a row, full
+# and of 17 rows
+_B = 8192
 _GOLDEN_ESTIMATES = {
     ("n3", "gaussian", _B - 1): ("0x1.cc8f949d3b1f9p+2", "0x1.e79ae25a0c8c0p-7"),
     ("n3", "gaussian", _B): ("0x1.cc8ae34eb15c6p+2", "0x1.e7a2c4bd2a06cp-7"),
@@ -232,6 +240,26 @@ def test_mc_true_cost_memory_does_not_grow_with_samples():
         assert peaks[1] - peaks[0] <= 8 * 60_000 + 2**20
 
 
+def test_mc_true_cost_memory_does_not_grow_with_n():
+    # a block holds about innermax._FLOATS floats per (rest x rows) array up
+    # to n = 64 and 1024 rows beyond, so at n = 100 a worker's sample block,
+    # inner-maximization workspace and sampler blocks take about fifteen
+    # budgets of 8 * _FLOATS bytes (blocks of a fixed 8192 rows took 41 MB
+    # per worker here)
+    rng = np.random.default_rng(15)
+    qf, C = random_reduced_game(rng, 100), rng.normal(size=(100, 100))
+    u = np.linalg.qr(rng.normal(size=(100, 100)))[0][:, :40]
+    prior, samples = PriorSpec("gaussian", 100), 20_000
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            mc_true_cost(qf, C, prior, u @ u.T, n_samples=samples, seed=5, n_workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples + workers * 20 * 8 * innermax._FLOATS
+
+
 def test_mc_true_cost_starts_no_more_threads_than_blocks(monkeypatch):
     # a huge n_workers on a few samples starts one thread per block at most
     made = []
@@ -244,8 +272,9 @@ def test_mc_true_cost_starts_no_more_threads_than_blocks(monkeypatch):
 
     monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Recording)
     args = (tracking_form(2.0, 2), np.eye(2), PriorSpec("gaussian", 2), np.eye(2))
-    one = mc_true_cost(*args, n_samples=innermax._BLOCK + 1, seed=3)
-    assert mc_true_cost(*args, n_samples=innermax._BLOCK + 1, seed=3, n_workers=10**6) == one
+    samples = innermax._block_rows(2) + 1
+    one = mc_true_cost(*args, n_samples=samples, seed=3)
+    assert mc_true_cost(*args, n_samples=samples, seed=3, n_workers=10**6) == one
     assert made == [2]
     assert mc_true_cost(*args, n_samples=5, seed=3, n_workers=10**6) == mc_true_cost(
         *args, n_samples=5, seed=3)
@@ -343,27 +372,36 @@ def test_mc_true_cost_rejects_bad_samples_or_seed():
     assert type(est.n_samples) is int and type(est.seed) is int
 
 
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# with C = eps I the tracking game has a = -eps I and D = -3 I, so the last
+# three P overflow sym(P) first, P a alone and Tr(D P) alone
 _BAD_MC_INPUTS = {
-    "nan P": ("P", np.full((2, 2), np.nan), InvalidMatrix),
-    "inf P": ("P", np.diag([np.inf, 1.0]), InvalidMatrix),
-    "P of the wrong shape": ("P", np.eye(3), InvalidMatrix),
-    "prior of another dimension": ("prior", PriorSpec("gaussian", 3), InvalidParameter),
+    "nan P": ({"P": np.full((2, 2), np.nan)}, InvalidMatrix),
+    "inf P": ({"P": np.diag([np.inf, 1.0])}, InvalidMatrix),
+    "P of the wrong shape": ({"P": np.eye(3)}, InvalidMatrix),
+    "prior of another dimension": ({"prior": PriorSpec("gaussian", 3)}, InvalidParameter),
+    "sym(P) overflows": ({"P": 1e308 * np.eye(2)}, InvalidMatrix),
+    "P a overflows": ({"C": 10.0 * np.eye(2), "P": 8e307 * _SWAP}, InvalidMatrix),
+    "Tr(D P) overflows": ({"P": 8e307 * np.eye(2)}, InvalidMatrix),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MC_INPUTS))
 def test_mc_true_cost_rejects_bad_inputs_before_sampling(case, monkeypatch):
-    # a non-finite P used to give a nan estimate, and a P or prior of the
-    # wrong dimension an untyped ValueError from inside a matrix product
+    # a non-finite P, or a finite one whose terms overflow, used to give a
+    # nan estimate, and a P or prior of the wrong dimension an untyped
+    # ValueError from inside a matrix product; none of them warns now
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking the inputs")
 
     monkeypatch.setattr(evaluator, "prior_samples", no_sampling)
     args = {"qf": tracking_form(2.0, 2), "C": np.eye(2), "prior": PriorSpec("gaussian", 2),
             "P": np.eye(2), "n_samples": 10, "seed": 1}
-    name, value, error = _BAD_MC_INPUTS[case]
-    with pytest.raises(error):
-        mc_true_cost(**{**args, name: value})
+    changes, error = _BAD_MC_INPUTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            mc_true_cost(**{**args, **changes})
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,16 +129,17 @@ def test_unconverged_rows_raise(monkeypatch):
         worst_case_penalty_batch(qm, row[None, :])
     # zero rows take the boundary value without a Newton step, so the first
     # block converges and only the second block's last row fails
-    V = np.zeros((innermax._BLOCK + 5, 2))
+    V = np.zeros((innermax._block_rows(2) + 5, 2))
     V[-1] = row
     with pytest.raises(NumericalFailure, match=f" 1 of {V.shape[0]} rows"):
         worst_case_penalty_batch(qm, V)
 
 
-def _cuts(rng, m):
-    # split points: every row alone (short batches), block edges and a
-    # single row at either end (long ones), and random cuts
-    block = innermax._BLOCK
+def _cuts(rng, m, n):
+    # split points: every row alone (short batches), the edges of the blocks
+    # of n-vectors and a single row at either end (long ones), and random
+    # cuts
+    block = innermax._block_rows(n)
     if m <= 250:
         yield np.arange(1, m)
     else:
@@ -150,10 +152,10 @@ def test_batch_is_bitwise_independent_of_the_split():
     # the Monte-Carlo evaluator solves its samples in worker chunks and
     # relies on their penalties being the whole batch's, bit for bit
     rng = np.random.default_rng(26)
-    cases = [*_secular_cases(rng), _n30_case(rng, 2 * innermax._BLOCK + 17)]
+    cases = [*_secular_cases(rng), _n30_case(rng, 2 * innermax._block_rows(30) + 17)]
     for qm, V in cases:
         whole = worst_case_penalty_batch(qm, V)
-        for cuts in _cuts(rng, V.shape[0]):
+        for cuts in _cuts(rng, *V.shape):
             # each piece into its rows of one output array
             out = np.full(V.shape[0], np.nan)
             for piece, at in zip(np.split(V, cuts), np.split(np.arange(V.shape[0]), cuts)):
@@ -165,11 +167,12 @@ def test_affine_workspace_matches_deviations_formed_first():
     # a workspace with an affine map (A, f) solves its rows x as the vectors
     # x A - f, formed piece by piece inside the blocks: bit for bit the plain
     # call on V = X A - f formed whole, at row counts around the product
-    # width and past two blocks
+    # width and past two blocks of n-vectors
     rng = np.random.default_rng(27)
-    block, width = innermax._BLOCK, innermax._WIDTH
-    rows = (1, width - 1, width, width + 1, 2 * block + 17)
+    width = innermax._WIDTH
     for n in (1, 3, 30, 100):
+        block = innermax._block_rows(n)
+        rows = (1, width - 1, width, width + 1, 2 * block + 17)
         q = np.linalg.qr(rng.normal(size=(n, n)))[0]
         top = min(2, n)  # a repeated top eigenvalue, when n allows one
         qm = (q * np.r_[[4.0] * top, rng.uniform(0.0, 3.0, size=n - top)]) @ q.T
@@ -180,6 +183,27 @@ def test_affine_workspace_matches_deviations_formed_first():
             work = innermax._Workspace(innermax._spectrum(qm), min(m, block), (A, f))
             got = worst_case_penalty_batch(qm, X[:m], _work=work)
             assert got.tobytes() == worst_case_penalty_batch(qm, V[:m]).tobytes()
+
+
+def test_column_sums_add_row_after_row():
+    # the block sums over eigen-coordinates: bit for bit a Python loop adding
+    # one row after another, whether numpy's reduction or that loop forms
+    # them, on C-contiguous views of a flat buffer as the workspace makes
+    rng = np.random.default_rng(28)
+    for rest, cols, _ in itertools.product((1, 2, 29, 99), (1, 2, 3, 8, 9, 513), range(8)):
+        # magnitudes over many binades, so that another order of the adds
+        # rounds otherwise (numpy's pairwise sum does, on most draws of one
+        # column of 29 or 99)
+        a = rng.normal(size=(rest, cols)) * np.exp2(rng.integers(-40, 40, size=(rest, cols)))
+        buf = np.full(rest * cols + 5, np.nan)
+        view = innermax._view(buf, rest, cols)
+        view[:] = a
+        expect = np.zeros(cols)
+        for row in a:
+            expect = expect + row
+        out = np.full(cols, np.nan)
+        assert innermax._col_sum(view, out) is out
+        assert out.tobytes() == expect.tobytes()
 
 
 def test_non_finite_input_rejected():
