@@ -358,8 +358,8 @@ def cmd_sweep(args) -> int:
     qf, hyp, prior, dc_base, ps, rho = _load(args)
     if args.steps < 1:
         raise InstanceFileError("--steps must be >= 1")
-    # checked before any row is solved, not by dc.scaled at the row it breaks
-    # or by mc_true_cost after the sweep
+    # checked before any row is solved, in the options' terms, and the
+    # sampling options before the sweep, not by mc_true_cost after it
     if not (0.0 <= args.eps_lo < math.inf and 0.0 <= args.eps_hi < math.inf):
         raise InvalidParameter("--eps-lo and --eps-hi must be finite and nonnegative")
     if args.mc_samples is not None:

@@ -46,7 +46,7 @@ class InvalidParameter(InputError):
 
 
 class InvalidTolerance(InputError):
-    """Non-positive tolerance or suboptimality budget."""
+    """Tolerance or suboptimality budget outside its range, or nan."""
 
 
 class InfeasibleTrace(InputError):

@@ -296,17 +296,19 @@ class DerivedCoefficients:
     ``pencil`` is the spectral record of (D, E) that every program and
     structural check solved on these coefficients reads, built on first use:
     the BP projection, the eigenvalues and norms of D and E, and the probes
-    and gap tree of the searches so far.  ``scaled(s)``
-    multiplies E, f and the lambda_bars by s^2, so its oracle is
-    h_s(t) = h(t/s^2): the scaled object shares its ``unit`` system's record
-    and carries the cumulative factor ``scale``, and the searches on it run in
-    the unit system's coordinates.  ``t_bar`` is not stored: it is read from
-    the record and scaled, scale^2 * pencil.t_bar.  The CLI derives every
-    instance once, at its unit hypothesis C0, and solves C = eps*C0 on
-    ``scaled(eps)``.  ``replace`` returns a new unit system with its own
-    record.  Construction refuses a non-finite D or E (``InvalidMatrix``) and
-    a non-finite f, c or lambda_bar (``InvalidParameter``), as a hypothesis
-    scale too large for floating point makes them.
+    and gap tree of the searches so far.  ``scaled(s)`` multiplies E, f and
+    the lambda_bars by s^2, so its oracle is h_s(t) = h(t/s^2): the scaled
+    object shares its ``unit`` system's record and carries the cumulative
+    factor ``scale``, and the searches on it run in the unit system's
+    coordinates.  ``t_bar`` is not stored: it is read from the record and
+    scaled, scale^2 * pencil.t_bar.  The CLI derives every instance once, at
+    its unit hypothesis C0: a solve at C = eps*C0 runs on ``scaled(eps)``,
+    while a sweep builds no scaled system and runs each eps as a column
+    scale of one search on the base system (``programs.sweep``).
+    ``replace`` returns a new unit system with its own record.  Construction
+    refuses a non-finite D or E (``InvalidMatrix``) and a non-finite f, c or
+    lambda_bar (``InvalidParameter``), as a hypothesis scale too large for
+    floating point makes them.
     """
 
     n: int
@@ -324,13 +326,7 @@ class DerivedCoefficients:
     )
 
     def __post_init__(self):
-        if not np.isfinite(self.D).all():
-            raise InvalidMatrix("coefficient matrices D and E must be finite")
-        self._check_scaled()
-
-    def _check_scaled(self) -> None:
-        # the checks of what ``scaled`` changes; D is the unit system's
-        if not np.isfinite(self.E).all():
+        if not (np.isfinite(self.D).all() and np.isfinite(self.E).all()):
             raise InvalidMatrix("coefficient matrices D and E must be finite")
         if not all(map(math.isfinite, (self.f, self.c, self.lambda_bar, self.lambda_bar_2))):
             raise InvalidParameter("coefficients f, c and lambda_bar must be finite")
@@ -364,15 +360,13 @@ class DerivedCoefficients:
         # at C = 0 writes it; an overflow is refused at construction
         with np.errstate(over="ignore", invalid="ignore"):
             e = s2 * self.E + 0.0
-        # filled past __init__, whose __post_init__ would check D again
-        out = object.__new__(DerivedCoefficients)
-        out.__dict__.update(
+        out = DerivedCoefficients(
             n=self.n, D=self.D, E=e, f=s2 * self.f + 0.0, c=self.c,
             lambda_bar=s2 * self.lambda_bar + 0.0,
             lambda_bar_2=s2 * self.lambda_bar_2 + 0.0,
-            scale=self.scale * s, _unit=self.unit,
         )
-        out._check_scaled()
+        object.__setattr__(out, "scale", self.scale * s)
+        object.__setattr__(out, "_unit", self.unit)
         return out
 
 

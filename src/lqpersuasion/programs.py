@@ -46,21 +46,20 @@ one BP projection, one closed form at t = 0 and one eigensolve per
 distinct multiplier probed.  The record keeps the points each probe gave
 (their traces, values, lines and eigenvalue masks), not its eigenvectors
 (but the projections of the searches' winners, and the eigenvectors a
-sweep's pass holds for a point that may win), and the tree of gaps that ``h_eq`` and the searches have refined: a chord
-slope depends on h alone, so every program and every oracle call descends
-the same tree.  A homothetic rescaling multiplies E, f and
-lambda_bar by eps^2, so its oracle is h_eps(t) = h_1(t/eps^2):
-``dc.scaled(eps)`` reads the record of the unit system, and its searches
-minimize h_1(s) + psi in unit coordinates s = t/eps^2, so that a whole
-sweep shares one record.
+sweep's pass holds for a point that may win), and the tree of gaps that
+``h_eq`` and the searches have refined: a chord slope depends on h alone,
+so every program and every oracle call descends the same tree.  A
+homothetic rescaling multiplies E, f and lambda_bar by eps^2, so its oracle
+is h_eps(t) = h_1(t/eps^2): a search at scale eps minimizes h_1(s) + psi in
+unit coordinates s = t/eps^2 on the unit system's record.
 
-A sweep searches each program once over its whole eps grid, the sandwich
-algorithm's use for a family of convex problems (Rote, Computing 48,
-1992): every point of the tree has a value at every eps and every gap a
-bound at every eps, so one pass holds them as points x eps and gaps x eps
-matrices, every eps still uncertified refines its own lowest gap, and a gap
-that several need is refined once.  A single solve runs the same search on
-one column, from a heap.
+A sweep is one coefficient system and a vector of scales, each eps a column
+of one search, the sandwich algorithm's use for a family of convex problems
+(Rote, Computing 48, 1992): every point of the tree has a value at every
+eps and every gap a bound at every eps, so one pass holds them as points x
+eps and gaps x eps matrices, every eps still uncertified refines its own
+lowest gap, and a gap that several need is refined once.  A single solve
+runs the same search on one column, from a heap.
 """
 
 from __future__ import annotations
@@ -407,8 +406,11 @@ def h_eq(
     positive semidefinite up to 1e-12*(1 + |E|) (``NotPSD`` otherwise).
     ``pencil`` is the shared ``_Pencil`` of (D, E), for callers that evaluate
     many t on the same pair; a call on it returns bitwise what one on a
-    fresh record does, as the descent from the root is deterministic.
+    fresh record does, as the descent from the root is deterministic.  A
+    nan or negative ``tol`` is ``InvalidTolerance``, before any eigensolve.
     """
+    if tol is not None and not tol >= 0.0:  # a nan tolerance fails it too
+        raise InvalidTolerance(f"oracle tolerance must be nonnegative, got {tol}")
     pen = _Pencil(D, E) if pencil is None else pencil
     trE, normD, normE = pen.trE, pen.normD, pen.normE
     if pen.eigE[0] < -1e-12 * (1.0 + normE):
@@ -668,10 +670,10 @@ def _pass(pen: _Pencil, f: float, w: np.ndarray, lam_bar: np.ndarray, rho: float
     return [(pts[by_trace[i]], c) for i, c in zip(first.tolist(), certified)]
 
 
-def _minimize_penalized(dcs: Sequence[DerivedCoefficients], alpha: float,
+def _minimize_penalized(dc: DerivedCoefficients, scales: Sequence[float], alpha: float,
                         lam_bars: Sequence[float], rho: float):
     """Certified minimization of h(t) + psi(t) over [0, t_bar] in each
-    column, a rescaling of one unit system in ``dcs`` with its lam_bar in
+    column k, the system dc rescaled by ``scales[k]`` with its lam_bar in
     ``lam_bars``, where psi is ``_penalty(alpha, lam_bar)`` at q = sqrt(f + t).
 
     Returns one (t_best, projection, certified_rho) per column: the best
@@ -695,34 +697,33 @@ def _minimize_penalized(dcs: Sequence[DerivedCoefficients], alpha: float,
     (``NumericalFailure`` if that leaves more than rho).  Of the points
     within 1e-12*(1 + |best|) of the best value, the smallest trace wins.
 
-    The search runs on ``pencil``, the record of the unit system that a
-    column rescales by e = ``scale``: with s = t/e^2, sqrt(f + t) is
-    e*sqrt(f1 + s), so it minimizes h1(s) + psi at q = sqrt(f1 + s) with
-    weight alpha*e, and every program at every scale descends one tree.  A
-    single solve is one column, searched best first from a heap
-    (``_search``); several are searched in one pass (``_pass``), whose
-    column picks the gap that the heap would pop.
+    Every column runs on ``dc.pencil``, the record of the unit system, at
+    the scale e = dc.scale*scales[k] of the unit system: with s = t/e^2,
+    sqrt(f + t) is e*sqrt(f1 + s), so it minimizes h1(s) + psi at
+    q = sqrt(f1 + s) with weight alpha*e, and every program at every scale
+    descends one tree.  A single solve is one column, scales = [1.0],
+    searched best first from a heap (``_search``); several are searched in
+    one pass (``_pass``), whose column picks the gap that the heap would pop.
     """
     if not rho > 0.0:
         raise InvalidTolerance(f"suboptimality budget rho must be positive, got {rho}")
     if alpha < 0.0:
         raise InvalidParameter("penalty weight alpha must be nonnegative")
-    pen = dcs[0].pencil
-    f = max(float(dcs[0].unit.f), 0.0)
+    pen = dc.pencil
+    f = max(float(dc.unit.f), 0.0)
+    es = [dc.scale * s for s in scales]
     # where E vanishes at a column's scale, the constraint is vacuous and the
     # optimum is the BP projection at t = 0
-    out = [(0.0, pen.bp, 0.0)] * len(dcs)
-    live = [k for k, d in enumerate(dcs)
-            if d.scale * d.scale * pen.trE > 1e-13 * (1.0 + d.scale * d.scale * pen.normE)]
-    w = [alpha * dcs[k].scale for k in live]
+    out = [(0.0, pen.bp, 0.0)] * len(es)
+    live = [k for k, e in enumerate(es) if e * e * pen.trE > 1e-13 * (1.0 + e * e * pen.normE)]
+    w = [alpha * es[k] for k in live]
     lb = [lam_bars[k] for k in live]
     if len(live) == 1:
         found = [_search(pen, f, _penalty(w[0], lb[0]), rho)]
     else:
         found = _pass(pen, f, np.array(w), np.array(lb), rho) if live else []
     for k, (p, certified) in zip(live, found):
-        e2 = dcs[k].scale * dcs[k].scale
-        out[k] = (e2 * p.s, p.projection(pen), certified)
+        out[k] = (es[k] * es[k] * p.s, p.projection(pen), certified)
     return out
 
 
@@ -775,17 +776,15 @@ def default_rho(dc: DerivedCoefficients) -> float:
     return 1e-6 * (1.0 + abs(solve_bp(dc).value))
 
 
-def _weights(
-    program: str, dc: DerivedCoefficients, kappa: float = 0.0, beta_bar: float = 0.0
-) -> tuple[float, float, float]:
-    """(alpha, offset, lam_bar) of PP, POP or SPOP: each minimizes
-    Tr(D S) + offset + psi(Tr(E S)), psi given by ``_penalty(alpha, lam_bar)``
-    at q = sqrt(f + Tr(E S))."""
+def _weights(program: str, c: float, lambda_bar, kappa: float = 0.0, beta_bar: float = 0.0):
+    """(alpha, offset, lam_bar) of PP, POP or SPOP, for a float lambda_bar or
+    bitwise per column of an array: each minimizes Tr(D S) + offset +
+    psi(Tr(E S)), psi given by ``_penalty(alpha, lam_bar)`` at q = sqrt(f + Tr(E S))."""
     if program == "PP":
-        return 1.0, dc.c + dc.lambda_bar, 0.0
+        return 1.0, c + lambda_bar, 0.0
     if program == "POP":
-        return beta_bar * kappa, dc.c + (1.0 - beta_bar * beta_bar) * dc.lambda_bar, 0.0
-    return kappa, dc.c, dc.lambda_bar  # SPOP
+        return beta_bar * kappa, c + (1.0 - beta_bar * beta_bar) * lambda_bar, 0.0
+    return kappa, c, lambda_bar  # SPOP
 
 
 def _objective(
@@ -816,9 +815,12 @@ def solve_penalized(
 
     ``projection`` is the better by ``extract_projection`` of 0 and the
     search's best projection, and ``value`` is its objective: the value of a
-    returned matrix, within the certified ``rho`` of the optimum.
+    returned matrix, within the certified ``rho`` of the optimum.  A
+    non-finite weight is ``InvalidParameter``, before any probe.
     """
-    (_, proj, certified), = _minimize_penalized([dc], alpha, [lam_bar], rho)
+    if not all(map(math.isfinite, (alpha, offset, lam_bar))):
+        raise InvalidParameter(f"penalty weights must be finite, got {alpha}, {offset}, {lam_bar}")
+    (_, proj, certified), = _minimize_penalized(dc, [1.0], alpha, [lam_bar], rho)
     proj, value = extract_projection([np.zeros_like(proj), proj],
                                      _objective(dc, alpha, offset, lam_bar))
     return ProgramSolution(
@@ -831,7 +833,7 @@ def solve_pp(dc: DerivedCoefficients, rho: float | None = None) -> ProgramSoluti
     """Pessimistic program: alpha = 1, offset = c + lambda_bar."""
     if rho is None:
         rho = default_rho(dc)
-    alpha, offset, _ = _weights("PP", dc)
+    alpha, offset, _ = _weights("PP", dc.c, dc.lambda_bar)
     return solve_penalized(dc, alpha, offset, rho, "PP")
 
 
@@ -848,7 +850,7 @@ def solve_pop(
     alpha = beta_bar*kappa, offset = c + (1 - beta_bar^2)*lambda_bar."""
     if rho is None:
         rho = default_rho(dc)
-    alpha, offset, _ = _weights("POP", dc, ps.kappa, ps.beta_bar)
+    alpha, offset, _ = _weights("POP", dc.c, dc.lambda_bar, ps.kappa, ps.beta_bar)
     return solve_penalized(dc, alpha, offset, rho, "POP")
 
 
@@ -861,7 +863,7 @@ def beta_max_value(zeta: float) -> float:
 
 def spop_objective(dc: DerivedCoefficients, kappa: float, sigma: np.ndarray) -> float:
     """The SPOP objective (inner beta-maximization in closed form) at Sigma."""
-    return _objective(dc, *_weights("SPOP", dc, kappa))(sym(sigma))
+    return _objective(dc, *_weights("SPOP", dc.c, dc.lambda_bar, kappa))(sym(sigma))
 
 
 def solve_spop(
@@ -880,7 +882,7 @@ def solve_spop(
     """
     if rho is None:
         rho = default_rho(dc)
-    alpha, offset, lam_bar = _weights("SPOP", dc, ps.kappa)
+    alpha, offset, lam_bar = _weights("SPOP", dc.c, dc.lambda_bar, ps.kappa)
     return solve_penalized(dc, alpha, offset, rho, "SPOP", lam_bar=lam_bar)
 
 
@@ -991,36 +993,47 @@ def sweep(
 ) -> list[SweepRow]:
     """Solve UOP/POP/SPOP/PP along a homothetic hypothesis sweep C = eps*C0.
 
-    ``dc_base`` must be derived at the base hypothesis C0; every eps reads
-    its oracle record through ``dc_base.scaled(eps)``.  Each of PP, SPOP and
-    POP is one certified pass over the whole grid (``_minimize_penalized``
-    on the sequence of scales): every eps is a column of the pass, and a
-    gap that several columns need is refined once.  A column also sees the
-    points that the other columns' refinements add, so a row may be up to
-    rho better than a standalone solve at the same eps; a one-step sweep is
-    that solve.
+    ``dc_base`` must be derived at the base hypothesis C0.  eps scales E, f
+    and lambda_bar by eps^2, as ``dc_base.scaled(eps)`` would, and not D or
+    c, so each eps is a column of a search on ``dc_base`` itself, and no
+    scaled system is built; the first eps that ``scaled`` refuses raises its
+    error before any search.  Each of PP, SPOP and POP is one certified pass
+    over the whole grid (``_minimize_penalized`` on the vector of scales),
+    and a gap that several columns need is refined once.  A column also
+    sees the points that the other columns' refinements add, so a row may
+    be up to rho better than a standalone solve at the same eps; a one-step
+    sweep is that solve.
 
     Each reported value lies within its program's certified rho of the
     optimum and is the objective of a projection, bitwise as
-    ``_objective`` scores it.  Each distinct projection is scored once, in
-    all the columns that read it, against 0 (``extract_projection``) and
-    for the cross-seeding, which scores SPOP at PP's projection and POP at
-    the better of SPOP's and PP's: as the objectives are ordered pointwise,
-    POP <= SPOP <= PP <= PP's value, the reported values keep the chain
-    POP <= SPOP <= PP exactly.
+    ``_objective`` scores it on ``dc_base.scaled(eps)``.  Each distinct
+    projection is scored once, in all the columns that read it, against 0
+    (``extract_projection``) and for the cross-seeding, which scores SPOP at
+    PP's projection and POP at the better of SPOP's and PP's: as the
+    objectives are ordered pointwise, POP <= SPOP <= PP <= PP's value, the
+    reported values keep the chain POP <= SPOP <= PP exactly.
     """
-    dcs = [dc_base.scaled(float(eps)) for eps in eps_grid]
-    m = len(dcs)
+    eps = np.array(eps_grid, dtype=float)
+    m = len(eps)
     if not m:
         return []
+    # each column's f and lambda_bar by ``scaled``'s arithmetic, and its
+    # finiteness checks, in which E's largest entry stands for all of E
+    with np.errstate(over="ignore", invalid="ignore"):
+        s2 = eps * eps
+        f, lam_bar = s2 * dc_base.f + 0.0, s2 * dc_base.lambda_bar + 0.0
+        big = s2 * np.array([[np.max(np.abs(dc_base.E), initial=0.0)], [dc_base.lambda_bar_2]])
+        bad = ~((eps >= 0.0) & np.isfinite([eps, f, lam_bar, *big]).all(axis=0))
+    if bad.any():
+        dc_base.scaled(float(eps[bad.argmax()]))  # raises the first bad eps's error
+    scales = eps.tolist()
     zero = np.zeros_like(dc_base.D)
-    f = np.array([dc.f for dc in dcs])
     # per projection, Tr(D P) and Tr(E P) at each scale, once computed; an
     # entry keeps its projection, so that no other array takes its id
     traces: dict[int, tuple[np.ndarray, float, np.ndarray, np.ndarray]] = {}
 
     def objective(weights: np.ndarray, p: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """``_objective(dc, *weights)(p)`` in the columns idx, bitwise."""
+        """``_objective(dc_base.scaled(eps), *weights)(p)`` in the columns idx."""
         if id(p) not in traces:
             traces[id(p)] = p, float(np.sum(dc_base.D * p)), np.empty(m), np.zeros(m, dtype=bool)
         _, t_d, t_e, done = traces[id(p)]
@@ -1029,10 +1042,10 @@ def sweep(
         step = max(1, 2**20 // p.size)
         for k in range(0, len(todo), step):
             block = todo[k:k + step]
-            t_e[block] = np.sum(np.stack([dcs[j].E for j in block]) * p, axis=(1, 2))
+            t_e[block] = np.sum((s2[block, None, None] * dc_base.E + 0.0) * p, axis=(1, 2))
         done[todo] = True
-        alpha, offset, lam_bar = weights[:, idx]
-        return t_d + offset + _penalty_cols(alpha, lam_bar)(np.sqrt(np.maximum(f[idx] + t_e[idx], 0.0)))
+        alpha, offset, lb = weights[:, idx]
+        return t_d + offset + _penalty_cols(alpha, lb)(np.sqrt(np.maximum(f[idx] + t_e[idx], 0.0)))
 
     def score(weights: np.ndarray, projs: list[np.ndarray]) -> np.ndarray:
         out = np.empty(m)
@@ -1043,8 +1056,9 @@ def sweep(
     def solve(name: str):
         """One pass over the grid for the program ``name``, each winner
         scored against 0 in the columns that found it."""
-        weights = np.array([_weights(name, dc, ps.kappa, ps.beta_bar) for dc in dcs]).T
-        found = _minimize_penalized(dcs, float(weights[0, 0]), weights[2].tolist(), rho)
+        alpha, offset, lb = _weights(name, dc_base.c, lam_bar, ps.kappa, ps.beta_bar)
+        weights = np.array(np.broadcast_arrays(alpha, offset, lb))
+        found = _minimize_penalized(dc_base, scales, alpha, weights[2].tolist(), rho)
         chosen: list[np.ndarray] = [zero] * m
         value = np.empty(m)
         for p, idx in _by_identity([proj for _, proj, _ in found]):
@@ -1065,19 +1079,8 @@ def sweep(
     val_spop = np.minimum(val_spop, spop_at_pp)
     val_pop = np.minimum(np.minimum(val_pop, score(w_pop, spop_arg)), score(w_pop, pp))
 
-    bp = dc_base.pencil.bp_result.value
+    uop = (dc_base.pencil.bp_result.value + dc_base.c + lam_bar).tolist()  # solve_uop's values
     rank = {id(p): _rank_projection(p) for p, _ in _by_identity(pp)}
-    rows: list[SweepRow] = []
-    for j, (eps, dc) in enumerate(zip(eps_grid, dcs)):
-        uop = bp + dc.c + dc.lambda_bar  # solve_uop(dc).value
-        rows.append(SweepRow(
-            epsilon=float(eps),
-            val_uop=uop,
-            val_pop=float(val_pop[j]),
-            val_spop=float(val_spop[j]),
-            val_pp=float(val_pp[j]),
-            val_2uop=2.0 * uop,
-            rank_pp=rank[id(pp[j])],
-            projection_pp=pp[j],
-        ))
-    return rows
+    return [SweepRow(e, u, pop_j, spop_j, pp_j, 2.0 * u, rank[id(p)], p)
+            for e, u, pop_j, spop_j, pp_j, p in zip(
+                scales, uop, val_pop.tolist(), val_spop.tolist(), val_pp.tolist(), pp)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lqpersuasion import (
 from lqpersuasion import instance, programs
 from lqpersuasion.demo import bench3_form, bench3_hypothesis
 from lqpersuasion.errors import (
-    InfeasibleTrace, InvalidMatrix, InvalidTolerance, NotPSD, NumericalFailure,
+    InfeasibleTrace, InvalidMatrix, InvalidParameter, InvalidTolerance, NotPSD, NumericalFailure,
 )
 
 
@@ -318,6 +319,18 @@ def test_h_eq_rejects_non_finite_input():
         h_eq(-eye, eye, math.nan)
 
 
+def test_h_eq_rejects_bad_tolerance(monkeypatch):
+    # with tol = nan the closing gap check never fails, and with tol < 0 no
+    # gap certifies; both are refused before any eigensolve
+    rng = np.random.default_rng(0)
+    d, e = random_sym(rng, 6), random_psd(rng, 6)
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    for tol in (math.nan, -1.0):
+        with pytest.raises(InvalidTolerance):
+            h_eq(d, e, 0.1 * float(np.trace(e)), tol=tol)
+    assert eigh[0] == 0
+
+
 def test_h_eq_zero_e():
     d = np.diag([-2.0, 3.0])
     res = h_eq(d, np.zeros((2, 2)), 0.0)
@@ -580,7 +593,7 @@ def test_solve_pp_scores_the_zero_projection():
         lambda_bar=0.5, lambda_bar_2=0.0,
     )
     assert solve_bp(dc).rank == 0
-    (_, searched, _), = programs._minimize_penalized([dc], 1.0, [0.0], 1e-6)
+    (_, searched, _), = programs._minimize_penalized(dc, [1.0], 1.0, [0.0], 1e-6)
     assert programs._rank_projection(searched) == 1
     sol = solve_pp(dc, 1e-6)
     assert (sol.rank, sol.value) == (0, 1.5)
@@ -591,6 +604,21 @@ def test_solve_penalized_rejects_bad_tolerance(bench_dc):
     for rho in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidTolerance):
             solve_penalized(bench_dc, alpha=1.0, offset=0.0, rho=rho)
+
+
+def test_solve_penalized_rejects_non_finite_weights(monkeypatch):
+    # a nan or infinite alpha, offset or lam_bar is refused before any
+    # probe, and without a warning
+    dc = derive_coefficients(bench3_form(), bench3_hypothesis(1.0))
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    good = dict(alpha=1.0, offset=0.0, lam_bar=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in good:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidParameter):
+                    solve_penalized(dc, rho=1e-6, **{**good, key: bad})
+    assert eigh[0] == 0
 
 
 def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
@@ -625,11 +653,12 @@ def test_programs_on_one_dc_share_its_oracle_record(monkeypatch, gauss3):
 def _solve_penalized_program(program, dc, ps, rho):
     """(solution, objective) of PP, POP or SPOP on dc."""
     if program == "PP":
-        return solve_pp(dc, rho), programs._objective(dc, *programs._weights("PP", dc))
+        weights = programs._weights("PP", dc.c, dc.lambda_bar)
+        return solve_pp(dc, rho), programs._objective(dc, *weights)
     if program == "POP":
-        weights = programs._weights("POP", dc, ps.kappa, ps.beta_bar)
+        weights = programs._weights("POP", dc.c, dc.lambda_bar, ps.kappa, ps.beta_bar)
         return solve_pop(dc, ps, rho), programs._objective(dc, *weights)
-    weights = programs._weights("SPOP", dc, ps.kappa)
+    weights = programs._weights("SPOP", dc.c, dc.lambda_bar, ps.kappa)
     return solve_spop(dc, ps, rho), programs._objective(dc, *weights)
 
 
@@ -862,6 +891,40 @@ def _count_calls(monkeypatch, module, name):
     return count
 
 
+def test_sweep_checks_its_grid_before_any_search(monkeypatch, bench_dc, gauss3):
+    # a sweep builds no scaled system per eps, so it checks its grid itself:
+    # the first eps that ``scaled`` refuses raises the error ``scaled``
+    # gives it, before any search, with at most one call to ``scaled``
+    scaled = _count_calls(monkeypatch, instance.DerivedCoefficients, "scaled")
+    searches = _count_calls(monkeypatch, programs, "_minimize_penalized")
+    # E = 0 and lambda_bar = 1e300: at eps = 1e10 only lambda_bar overflows
+    flat = instance.DerivedCoefficients(n=3, D=-np.eye(3), E=np.zeros((3, 3)), f=1.0, c=0.0,
+                                        lambda_bar=1e300, lambda_bar_2=0.0)
+    factor = "homothety factor must be finite and nonnegative, got "
+    cases = (
+        (bench_dc, [0.5, math.nan, 1.0], InvalidParameter, factor + "nan"),
+        (bench_dc, [0.5, -1.0], InvalidParameter, factor + "-1.0"),
+        (bench_dc, [math.inf], InvalidParameter, factor + "inf"),
+        (bench_dc, [0.5, 1e200], InvalidMatrix, "coefficient matrices D and E must be finite"),
+        (bench_dc, [1e154], InvalidMatrix, "coefficient matrices D and E must be finite"),
+        (flat, [0.5, 1e10, math.nan], InvalidParameter,
+         "coefficients f, c and lambda_bar must be finite"),
+        (flat, [math.nan, 1e10], InvalidParameter, factor + "nan"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dc, grid, error, message in cases:
+            scaled[0] = 0
+            with pytest.raises(error) as exc:
+                sweep(dc, gauss3, grid, 1e-4)
+            assert str(exc.value) == message, grid
+            assert scaled[0] <= 1
+    assert searches[0] == 0
+    scaled[0] = 0
+    sweep(bench_dc, gauss3, np.linspace(0.0, 2.5, 200), 1e-4)
+    assert scaled[0] <= 1 and searches[0] == 3
+
+
 def _record_eigh_inputs(monkeypatch) -> list[bytes]:
     """The bytes of every matrix passed to ``np.linalg.eigh``, in call order."""
     orig = np.linalg.eigh
@@ -928,15 +991,22 @@ def _sweep_case(case):
     return derive_coefficients(qf, hypothesis_wasserstein(1.0, n)), prior_stats(PriorSpec("gaussian", n))
 
 
-@pytest.mark.parametrize("case", ["bench3", "n10"])
+@pytest.mark.parametrize("case", ["bench3", "n10", "n10-scaled"])
 def test_sweep_rows_within_rho_of_tight_solves(case):
     # every column of the pass is certified: each row lies within rho of
     # solves at a far tighter rho, with PP's rank, and each value is the
-    # objective of a projection, PP's bitwise at the row's own projection
-    base, ps = _sweep_case(case)
+    # objective of a projection, PP's bitwise at the row's own projection.
+    # On a scaled base, column eps runs at the unit system's scale 0.7*eps.
+    name, _, scaled = case.partition("-")
+
+    def make():
+        base, ps = _sweep_case(name)
+        return (base.scaled(0.7) if scaled else base), ps
+
+    base, ps = make()
     rho = 1e-4
     rows = sweep(base, ps, np.linspace(0.0, 2.5, 50), rho)
-    tight_base, _ = _sweep_case(case)
+    tight_base, _ = make()
     for r in rows:
         dc = base.scaled(r.epsilon)
         tight = tight_base.scaled(r.epsilon)
@@ -945,10 +1015,11 @@ def test_sweep_rows_within_rho_of_tight_solves(case):
         for got, want in ((r.val_pp, pp), (r.val_spop, solve_spop(tight, ps, 1e-9)),
                           (r.val_pop, solve_pop(tight, ps, 1e-9))):
             assert abs(got - want.value) <= rho, (r.epsilon, want.program)
-        assert r.val_pp == programs._objective(dc, *programs._weights("PP", dc))(r.projection_pp)
+        pp_weights = programs._weights("PP", dc.c, dc.lambda_bar)
+        assert r.val_pp == programs._objective(dc, *pp_weights)(r.projection_pp)
         # the cross-seeding scored SPOP and POP at PP's projection too
         assert r.val_spop <= spop_objective(dc, ps.kappa, r.projection_pp)
-        pop_weights = programs._weights("POP", dc, ps.kappa, ps.beta_bar)
+        pop_weights = programs._weights("POP", dc.c, dc.lambda_bar, ps.kappa, ps.beta_bar)
         assert r.val_pop <= programs._objective(dc, *pop_weights)(r.projection_pp)
 
 
@@ -961,8 +1032,8 @@ def test_one_column_pass_is_the_heap_search(case):
     pen, f = base.pencil, max(float(base.f), 0.0)
     for eps in (0.3, 1.2, 1.6, 2.5):
         dc = base.scaled(eps)
-        for alpha, _, lam_bar in (programs._weights("PP", dc),
-                                  programs._weights("SPOP", dc, ps.kappa)):
+        for alpha, _, lam_bar in (programs._weights("PP", dc.c, dc.lambda_bar),
+                                  programs._weights("SPOP", dc.c, dc.lambda_bar, ps.kappa)):
             for rho in (1e-4, 1e-8):
                 w = alpha * eps
                 want = programs._search(pen, f, programs._penalty(w, lam_bar), rho)
@@ -1026,7 +1097,7 @@ def test_scaled_programs_match_fresh_derivation(case):
         # the search runs in unit coordinates and returns t in the caller's:
         # the trace of the projection it returns, up to the rounding of two
         # sums (2.7e-15 relative at most here)
-        (t_s, p_s, _), = programs._minimize_penalized([scaled], 1.0, [0.0], rho)
+        (t_s, p_s, _), = programs._minimize_penalized(scaled, [1.0], 1.0, [0.0], rho)
         want = [solve_pp(fresh, rho), solve_pop(fresh, ps, rho), solve_spop(fresh, ps, rho)]
         for g, w in zip(got, want):
             assert abs(g.value - w.value) <= rho, (eps, g.program)
